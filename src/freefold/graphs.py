@@ -3,9 +3,12 @@
 A subgroup graph is a connected, labeled, folded graph with a base vertex:
 closed paths at the base spell exactly the subgroup's elements.  Folding
 merges equally-labeled parallel edges until each vertex has at most one
-outgoing and one incoming edge per label; the result is independent of the
-folding order, and we relabel vertices by a breadth-first traversal so equal
-subgroups produce identical graphs.
+outgoing and one incoming edge per label.  The fold is incremental: it
+merges while the wedge of generator loops is built, with union-find and a
+pending-merge stack, so its cost is near-linear in the total number of
+generator letters.  The folded graph is independent of the merge order
+(Stallings 1983), and vertices are relabeled by a breadth-first traversal,
+so the output is canonical: equal subgroups produce identical graphs.
 
 Non-base dangling trees are trimmed.  A spur hanging from the base (as in
 the graph of <a b a^-1>) is kept on purpose: membership then reads off
@@ -15,6 +18,7 @@ unaffected by trees.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Sequence
 
 from .words import Alphabet, AlphabetMismatch, Word, invert, multiply
@@ -61,9 +65,9 @@ class SubgroupGraph:
         paths: list[tuple[int, ...] | None] = [None] * self.n_vertices
         paths[self.base] = ()
         tree: set[tuple[int, int, int]] = set()
-        queue = [self.base]
+        queue = deque([self.base])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for g in sorted(self.out[v]):
                 w = self.out[v][g]
                 if paths[w] is None:
@@ -144,7 +148,12 @@ class SubgroupGraph:
 
 
 def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> SubgroupGraph:
-    """Fold the wedge of generator loops into the subgroup's core graph."""
+    """Fold the wedge of generator loops into the subgroup's core graph.
+
+    A worklist fold after Touikan, "A fast algorithm for Stallings' folding
+    process" (IJAC 2006): the wedge is folded while it is built, so the cost
+    is near-linear in the total number of generator letters.
+    """
     gens = list(gens)
     if alphabet is None:
         if not gens:
@@ -154,23 +163,14 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
         if w.alphabet != alphabet:
             raise AlphabetMismatch("subgroup generators over mixed alphabets")
 
-    # Wedge of loops at vertex 0.
-    edges: set[tuple[int, int, int]] = set()
-    nv = 1
-    for w in gens:
-        prev = 0
-        for i, c in enumerate(w.letters):
-            nxt = 0 if i == len(w.letters) - 1 else nv
-            if nxt != 0:
-                nv += 1
-            g = c >> 1
-            if c & 1:
-                edges.add((nxt, g, prev))
-            else:
-                edges.add((prev, g, nxt))
-            prev = nxt
-
-    parent = list(range(nv))
+    # Vertices are joined by union-find.  A root vertex v keeps its edges as
+    # out[v][g] = w and inc[w][g] = v; entries may name non-root vertices and
+    # are read through find().  A label collision never stores a second edge:
+    # it pushes the two far endpoints onto ``pending`` instead.
+    parent = [0]
+    out: list[dict[int, int]] = [{}]
+    inc: list[dict[int, int]] = [{}]
+    pending: list[tuple[int, int]] = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -178,85 +178,93 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
+    def drain() -> None:
+        while pending:
+            a, b = pending.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
             # keep the smaller id so the base vertex 0 survives every merge
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            for maps in (out, inc):
+                keep = maps[a]
+                for g, t in maps[b].items():
+                    s = keep.get(g)
+                    if s is None:
+                        keep[g] = t
+                    else:
+                        pending.append((s, t))
+                maps[b] = {}
 
-    # Fold to fixpoint.  Scanning in sorted order keeps the merge sequence
-    # deterministic; confluence makes the result unique anyway.
-    while True:
-        edges = {(find(u), g, find(v)) for (u, g, v) in edges}
-        merged = False
-        seen_out: dict[tuple[int, int], int] = {}
-        seen_in: dict[tuple[int, int], int] = {}
-        for u, g, v in sorted(edges):
-            key = (u, g)
-            if key in seen_out and seen_out[key] != v:
-                union(seen_out[key], v)
-                merged = True
-                break
-            seen_out[key] = v
-            key = (v, g)
-            if key in seen_in and seen_in[key] != u:
-                union(seen_in[key], u)
-                merged = True
-                break
-            seen_in[key] = u
-        if not merged:
-            break
+    for w in gens:
+        prev = 0
+        last = len(w.letters) - 1
+        for i, c in enumerate(w.letters):
+            if i == last:
+                nxt = 0
+            else:
+                nxt = len(parent)
+                parent.append(nxt)
+                out.append({})
+                inc.append({})
+            u, v = find(prev), find(nxt)
+            if c & 1:
+                u, v = v, u
+            g = c >> 1
+            t, s = out[u].get(g), inc[v].get(g)
+            if t is None and s is None:
+                out[u][g] = v
+                inc[v][g] = u
+            else:
+                if t is not None:
+                    pending.append((t, v))
+                if s is not None:
+                    pending.append((s, u))
+                drain()
+            prev = nxt
 
-    # Trim non-base dangling trees.
-    while True:
-        degree: dict[int, int] = {}
-        for u, g, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        dead = {
-            v
-            for v in degree
-            if v != 0 and degree[v] <= 1
-        }
-        if not dead:
-            break
-        edges = {e for e in edges if e[0] not in dead and e[2] not in dead}
+    roots = [v for v in range(len(parent)) if parent[v] == v]
+    for v in roots:
+        out[v] = {g: find(t) for g, t in out[v].items()}
+        inc[v] = {g: find(t) for g, t in inc[v].items()}
 
-    # Canonical BFS relabeling from the base.
-    out_adj: dict[int, dict[int, int]] = {}
-    in_adj: dict[int, dict[int, int]] = {}
-    verts = {0}
-    for u, g, v in edges:
-        out_adj.setdefault(u, {})[g] = v
-        in_adj.setdefault(v, {})[g] = u
-        verts.add(u)
-        verts.add(v)
+    # Trim non-base dangling trees, leaf by leaf.  A loop counts twice
+    # towards the degree, so a vertex carrying one is never a leaf.
+    degree = {v: len(out[v]) + len(inc[v]) for v in roots}
+    leaves = [v for v in roots if v != 0 and degree[v] <= 1]
+    while leaves:
+        v = leaves.pop()
+        for mine, theirs in ((out, inc), (inc, out)):
+            for g, t in mine[v].items():
+                del theirs[t][g]
+                degree[t] -= 1
+                if t != 0 and degree[t] == 1:
+                    leaves.append(t)
+            mine[v] = {}
+
+    # Canonical BFS relabeling from the base; every vertex left with an edge
+    # is reachable, since trimming leaves keeps the graph connected.
     order: dict[int, int] = {0: 0}
-    queue = [0]
+    queue = deque([0])
     while queue:
-        v = queue.pop(0)
-        for g in sorted(out_adj.get(v, {})):
-            w = out_adj[v][g]
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
-        for g in sorted(in_adj.get(v, {})):
-            u = in_adj[v][g]
-            if u not in order:
-                order[u] = len(order)
-                queue.append(u)
-    # every vertex is reachable from the base by construction
-    assert len(order) == len(verts)
+        v = queue.popleft()
+        for adj in (out[v], inc[v]):
+            for g in sorted(adj):
+                w = adj[g]
+                if w not in order:
+                    order[w] = len(order)
+                    queue.append(w)
 
     n = len(order)
-    out: list[dict[int, int]] = [dict() for _ in range(n)]
-    inc: list[dict[int, int]] = [dict() for _ in range(n)]
-    for u, g, v in edges:
-        out[order[u]][g] = order[v]
-        inc[order[v]][g] = order[u]
-    return SubgroupGraph(alphabet, n, tuple(out), tuple(inc), tuple(gens))
+    new_out: list[dict[int, int]] = [dict() for _ in range(n)]
+    new_inc: list[dict[int, int]] = [dict() for _ in range(n)]
+    for u, i in order.items():
+        for g, v in out[u].items():
+            new_out[i][g] = order[v]
+            new_inc[order[v]][g] = i
+    return SubgroupGraph(alphabet, n, tuple(new_out), tuple(new_inc), tuple(gens))
 
 
 def contains(graph: SubgroupGraph, w: Word) -> bool:

@@ -159,10 +159,10 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return invert(self) ** (-k)
-        out = self.alphabet.identity()
-        for _ in range(k):
-            out = multiply(out, self)
-        return out
+        # w = p c p^-1 with c cyclically reduced, so p c^k p^-1 is reduced.
+        prefix, core = _cyclic_strip(self.letters)
+        tail = tuple(c ^ 1 for c in reversed(prefix))
+        return Word(self.alphabet, prefix + core * k + tail)
 
     def __str__(self) -> str:
         return format_word(self)

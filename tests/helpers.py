@@ -1,11 +1,14 @@
-"""Shared test utilities: seeded random words and small enumerations."""
+"""Shared test utilities: seeded random words, small enumerations and the
+reference fold."""
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from typing import Sequence
 
-from freefold.words import Alphabet, Word
+from freefold.graphs import SubgroupGraph
+from freefold.words import Alphabet, AlphabetMismatch, Word
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, max_len: int,
@@ -25,3 +28,123 @@ def all_reduced_words(alphabet: Alphabet, length: int) -> list[Word]:
         if ok:
             out.append(Word(alphabet, codes))
     return out
+
+
+def naive_fold(gens: Sequence[Word], alphabet: Alphabet | None = None) -> SubgroupGraph:
+    """The pass-by-pass fold: one merge per scan of the sorted edge set.
+
+    Test oracle for ``freefold.graphs.fold_subgroup``, which must return
+    equal graphs for every input.
+    """
+    gens = list(gens)
+    if alphabet is None:
+        if not gens:
+            raise ValueError("an alphabet is required to fold the trivial subgroup")
+        alphabet = gens[0].alphabet
+    for w in gens:
+        if w.alphabet != alphabet:
+            raise AlphabetMismatch("subgroup generators over mixed alphabets")
+
+    # Wedge of loops at vertex 0.
+    edges: set[tuple[int, int, int]] = set()
+    nv = 1
+    for w in gens:
+        prev = 0
+        for i, c in enumerate(w.letters):
+            nxt = 0 if i == len(w.letters) - 1 else nv
+            if nxt != 0:
+                nv += 1
+            g = c >> 1
+            if c & 1:
+                edges.add((nxt, g, prev))
+            else:
+                edges.add((prev, g, nxt))
+            prev = nxt
+
+    parent = list(range(nv))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # keep the smaller id so the base vertex 0 survives every merge
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    # Fold to fixpoint.  Scanning in sorted order keeps the merge sequence
+    # deterministic; confluence makes the result unique anyway.
+    while True:
+        edges = {(find(u), g, find(v)) for (u, g, v) in edges}
+        merged = False
+        seen_out: dict[tuple[int, int], int] = {}
+        seen_in: dict[tuple[int, int], int] = {}
+        for u, g, v in sorted(edges):
+            key = (u, g)
+            if key in seen_out and seen_out[key] != v:
+                union(seen_out[key], v)
+                merged = True
+                break
+            seen_out[key] = v
+            key = (v, g)
+            if key in seen_in and seen_in[key] != u:
+                union(seen_in[key], u)
+                merged = True
+                break
+            seen_in[key] = u
+        if not merged:
+            break
+
+    # Trim non-base dangling trees.
+    while True:
+        degree: dict[int, int] = {}
+        for u, g, v in edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        dead = {
+            v
+            for v in degree
+            if v != 0 and degree[v] <= 1
+        }
+        if not dead:
+            break
+        edges = {e for e in edges if e[0] not in dead and e[2] not in dead}
+
+    # Canonical BFS relabeling from the base.
+    out_adj: dict[int, dict[int, int]] = {}
+    in_adj: dict[int, dict[int, int]] = {}
+    verts = {0}
+    for u, g, v in edges:
+        out_adj.setdefault(u, {})[g] = v
+        in_adj.setdefault(v, {})[g] = u
+        verts.add(u)
+        verts.add(v)
+    order: dict[int, int] = {0: 0}
+    queue = [0]
+    while queue:
+        v = queue.pop(0)
+        for g in sorted(out_adj.get(v, {})):
+            w = out_adj[v][g]
+            if w not in order:
+                order[w] = len(order)
+                queue.append(w)
+        for g in sorted(in_adj.get(v, {})):
+            u = in_adj[v][g]
+            if u not in order:
+                order[u] = len(order)
+                queue.append(u)
+    # every vertex is reachable from the base by construction
+    assert len(order) == len(verts)
+
+    n = len(order)
+    out: list[dict[int, int]] = [dict() for _ in range(n)]
+    inc: list[dict[int, int]] = [dict() for _ in range(n)]
+    for u, g, v in edges:
+        out[order[u]][g] = order[v]
+        inc[order[v]][g] = order[u]
+    return SubgroupGraph(alphabet, n, tuple(out), tuple(inc), tuple(gens))

@@ -147,6 +147,16 @@ def test_flipped_chain_fails_surface_check():
     assert any("residue" in w for w in report.witnesses)
 
 
+def test_surface_rewrite_at_depth_48():
+    ch = build_chain(48)
+    assert verify_surface_rewrite(ch).passed
+    rw = surface_rewrite(ch)
+    assert fold_subgroup(rw.new_basis, ch.alphabet).rank() == 3 * 48 + 3
+    flipped = verify_surface_rewrite(build_chain(48, inverted_stable_letters=True))
+    assert flipped.status == "fail"
+    assert any("residue" in w for w in flipped.witnesses)
+
+
 def test_surface_rewrite_preconditions():
     with pytest.raises(ValueError):
         surface_rewrite(build_chain(3))

@@ -11,8 +11,9 @@ from freefold.graphs import (
     rank,
     verify_expression,
 )
-from freefold.words import Alphabet, AlphabetMismatch, invert, multiply
-from helpers import random_word
+from freefold.chain import build_chain, surface_rewrite
+from freefold.words import Alphabet, AlphabetMismatch, Word, invert, multiply
+from helpers import naive_fold, random_word
 
 AB = Alphabet.parse("a0,b0")
 ABC = Alphabet.parse("a0,b0,c0")
@@ -75,6 +76,36 @@ def test_fold_deterministic_up_to_generator_presentation():
     g2 = fold_subgroup(words(AB, "b0", "a0^2"))
     g3 = fold_subgroup(words(AB, "a0^-2", "b0^-1"))
     assert g1.serialize() == g2.serialize() == g3.serialize()
+
+
+def fold_matches_oracle(gens, alphabet):
+    got = fold_subgroup(gens, alphabet)
+    want = naive_fold(gens, alphabet)
+    return (got.n_vertices, got.out, got.inc) == (want.n_vertices, want.out, want.inc)
+
+
+def test_fold_matches_pass_by_pass_oracle():
+    rng = random.Random(53)
+    alphabets = [Alphabet([f"x{i}" for i in range(r)]) for r in range(1, 6)]
+    for trial in range(3000):
+        al = alphabets[trial % 5]
+        gens = []
+        for _ in range(rng.randint(0, 5)):
+            # raw codes, often with cancelling pairs: the fold sees the reduced
+            # word, which may be empty or not cyclically reduced
+            n = rng.randint(0, 12)
+            gens.append(Word(al, [rng.randrange(2 * al.rank) for _ in range(n)]))
+        assert fold_matches_oracle(gens, al), gens
+    assert fold_matches_oracle([], AB)
+    assert fold_matches_oracle([AB.identity(), AB.word("a0 a0^-1")], AB)
+    assert fold_matches_oracle(words(AB, "a0 b0 a0^-1"), AB)
+    assert fold_subgroup(words(AB, "a0 b0 a0^-1")).n_vertices == 2
+
+
+def test_fold_matches_oracle_on_rewrite_bases():
+    for n in (2, 4, 8):
+        ch = build_chain(n)
+        assert fold_matches_oracle(surface_rewrite(ch).new_basis, ch.alphabet)
 
 
 # -- membership -------------------------------------------------------------

@@ -205,6 +205,19 @@ def test_root_properties():
         assert m % k == 0
 
 
+def test_pow_matches_repeated_multiplication():
+    rng = random.Random(31)
+    for _ in range(300):
+        w = random_word(rng, AB, 7)
+        for k in range(-4, 5):
+            expected = AB.identity()
+            for _ in range(abs(k)):
+                expected = multiply(expected, w if k > 0 else invert(w))
+            assert w**k == expected
+    assert str(AB.word("a0 b0 a0^-1") ** 3) == "a0 b0^3 a0^-1"
+    assert len(AB.word("a0 b0") ** 5000) == 10000
+
+
 def test_centralizer_equal_examples():
     assert centralizer_equal(AB.word("a0"), AB.word("a0^3"))
     assert centralizer_equal(AB.word("a0"), AB.word("a0^-2"))
