@@ -56,6 +56,7 @@ from .words import (
     centralizer_equal,
     commutator,
     conjugate,
+    cyclic_canonical,
     cyclic_normal_form,
     format_word,
     invert,

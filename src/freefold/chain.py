@@ -33,7 +33,7 @@ from .words import (
     Word,
     commutator,
     conjugate,
-    cyclic_normal_form,
+    cyclic_canonical,
     invert,
     is_conjugate,
     multiply,
@@ -491,7 +491,7 @@ def cross_conjugacy_scan(
             )
         classes: dict[tuple, Word] = {}
         for w in ball:
-            key = cyclic_normal_form(w).canonical.letters
+            key = cyclic_canonical(w).letters
             classes.setdefault(key, w)
         sides.append(classes)
     common = sorted(set(sides[0]) & set(sides[1]))

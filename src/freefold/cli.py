@@ -1,6 +1,8 @@
 """Command-line front end: word utilities, relation queries, certificates.
 
-Exit codes: 0 = pass / true, 1 = fail / false, 2 = usage or input error.
+Exit codes: 0 = pass / true, 1 = fail / false, 2 = usage or input error,
+3 = undecided: a search ran out of its budget (``primitive --budget``)
+before it could answer.
 Reports print as text or as JSON objects with the stable schema
 {"check", "params", "status", "witnesses", "elapsed_ms"}.
 """
@@ -314,8 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"undecided: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

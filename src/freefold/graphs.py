@@ -10,10 +10,10 @@ generator letters.  The folded graph is independent of the merge order
 (Stallings 1983), and vertices are relabeled by a breadth-first traversal,
 so the output is canonical: equal subgroups produce identical graphs.
 
-Non-base dangling trees are trimmed.  A spur hanging from the base (as in
-the graph of <a b a^-1>) is kept on purpose: membership then reads off
-closed base paths with no special cases, and the rank formula E - V + 1 is
-unaffected by trees.
+The fold leaves no dangling tree away from the base (see
+``fold_subgroup``).  A spur hanging from the base (as in the graph of
+<a b a^-1>) is kept on purpose: membership then reads off closed base paths
+with no special cases, and the rank formula E - V + 1 is unaffected by trees.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .words import Alphabet, AlphabetMismatch, Word, invert, multiply
 class SubgroupGraph:
     """Immutable folded core graph of a finitely generated subgroup."""
 
-    __slots__ = ("alphabet", "n_vertices", "out", "inc", "generators_of")
+    __slots__ = ("alphabet", "n_vertices", "out", "inc", "generators_of", "_tree")
 
     def __init__(self, alphabet, n_vertices, out, inc, generators_of):
         self.alphabet = alphabet
@@ -35,6 +35,7 @@ class SubgroupGraph:
         self.out = out  # out[v][g] = w  for an edge v --g--> w
         self.inc = inc  # inc[w][g] = v  for the same edge
         self.generators_of = generators_of
+        self._tree = None  # see _nontree_edges
 
     base = 0
 
@@ -83,18 +84,25 @@ class SubgroupGraph:
         return paths, tree
 
     def _nontree_edges(self):
-        paths, tree = self._spanning_tree()
-        edges = []
-        for u in range(self.n_vertices):
-            for g in sorted(self.out[u]):
-                v = self.out[u][g]
-                if (u, g, v) not in tree:
-                    edges.append((u, g, v))
-        return paths, edges
+        """(tree path codes per vertex, non-tree edges, edge -> 1-based index).
+
+        Built on first use and kept: the graph never changes.
+        """
+        if self._tree is None:
+            paths, tree = self._spanning_tree()
+            edges = []
+            for u in range(self.n_vertices):
+                for g in sorted(self.out[u]):
+                    v = self.out[u][g]
+                    if (u, g, v) not in tree:
+                        edges.append((u, g, v))
+            index = {e: i + 1 for i, e in enumerate(edges)}
+            self._tree = (paths, edges, index)
+        return self._tree
 
     def basis(self) -> list[Word]:
         """A free basis read off a spanning tree, one word per non-tree edge."""
-        paths, edges = self._nontree_edges()
+        paths, edges, _ = self._nontree_edges()
         out = []
         for u, g, v in edges:
             codes = paths[u] + (2 * g,) + tuple(c ^ 1 for c in reversed(paths[v]))
@@ -111,8 +119,7 @@ class SubgroupGraph:
         """
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word alphabet differs from graph alphabet")
-        _, edges = self._nontree_edges()
-        index = {e: i + 1 for i, e in enumerate(edges)}
+        _, _, index = self._nontree_edges()
         v = self.base
         factors: list[int] = []
         for c in w.letters:
@@ -153,6 +160,14 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
     A worklist fold after Touikan, "A fast algorithm for Stallings' folding
     process" (IJAC 2006): the wedge is folded while it is built, so the cost
     is near-linear in the total number of generator letters.
+
+    The folded graph needs no trimming.  Every vertex is the image of a
+    wedge vertex, which is interior to the loop of a generator w, and the
+    image of that loop is a closed base path that spells w.  A path in a
+    folded graph that turns back along the edge it came in on spells some
+    x x^-1, and w is reduced, so the path never does.  A non-base vertex is
+    therefore entered and left by two distinct edge ends: it has two
+    distinct edges, or a loop, and is never a leaf.
     """
     gens = list(gens)
     if alphabet is None:
@@ -230,22 +245,8 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
         out[v] = {g: find(t) for g, t in out[v].items()}
         inc[v] = {g: find(t) for g, t in inc[v].items()}
 
-    # Trim non-base dangling trees, leaf by leaf.  A loop counts twice
-    # towards the degree, so a vertex carrying one is never a leaf.
-    degree = {v: len(out[v]) + len(inc[v]) for v in roots}
-    leaves = [v for v in roots if v != 0 and degree[v] <= 1]
-    while leaves:
-        v = leaves.pop()
-        for mine, theirs in ((out, inc), (inc, out)):
-            for g, t in mine[v].items():
-                del theirs[t][g]
-                degree[t] -= 1
-                if t != 0 and degree[t] == 1:
-                    leaves.append(t)
-            mine[v] = {}
-
-    # Canonical BFS relabeling from the base; every vertex left with an edge
-    # is reachable, since trimming leaves keeps the graph connected.
+    # Canonical BFS relabeling from the base; it reaches every root, since
+    # the folded graph is the connected image of the wedge.
     order: dict[int, int] = {0: 0}
     queue = deque([0])
     while queue:

@@ -23,7 +23,7 @@ from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
-    cyclic_normal_form,
+    cyclic_canonical,
     multiply,
 )
 
@@ -167,10 +167,6 @@ def _type_two_cached(alphabet: Alphabet) -> tuple[Automorphism, ...]:
     return tuple(_type_two(alphabet))
 
 
-def _canon(w: Word) -> Word:
-    return cyclic_normal_form(w).canonical
-
-
 def _total(tup: Sequence[Word]) -> int:
     return sum(len(w) for w in tup)
 
@@ -191,14 +187,14 @@ def minimize_tuple(
         if w.alphabet != alphabet:
             raise AlphabetMismatch("tuple entries over mixed alphabets")
     moves = _type_two_cached(alphabet)
-    current = [_canon(w) for w in t]
+    current = [cyclic_canonical(w) for w in t]
     seq: list[Automorphism] = []
     examined = 0
     improved = True
     while improved:
         improved = False
         for f in moves:
-            candidate = [_canon(f.apply(w)) for w in current]
+            candidate = [cyclic_canonical(f.apply(w)) for w in current]
             examined += 1
             if examined > budget:
                 raise BudgetExhausted(f"minimization exceeded {budget} examined tuples")
@@ -252,7 +248,7 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
         next_frontier = []
         for tup in frontier:
             for f in moves:
-                candidate = tuple(_canon(f.apply(w)) for w in tup)
+                candidate = tuple(cyclic_canonical(f.apply(w)) for w in tup)
                 examined += 1
                 if examined > budget:
                     raise BudgetExhausted(

@@ -80,7 +80,9 @@ class Alphabet:
         return parse_word(text, self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or (
+            isinstance(other, Alphabet) and self.names == other.names
+        )
 
     def __hash__(self) -> int:
         return hash(self.names)
@@ -120,7 +122,12 @@ def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
 
 
 class Word:
-    """A freely reduced word.  Construction always reduces its input."""
+    """A freely reduced word.  Construction always reduces its input.
+
+    The operations below build their results with ``_reduced``, which skips
+    that pass: on reduced operands, cancellation can only happen where two
+    operands meet.
+    """
 
     __slots__ = ("alphabet", "letters")
 
@@ -159,10 +166,12 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return invert(self) ** (-k)
-        # w = p c p^-1 with c cyclically reduced, so p c^k p^-1 is reduced.
+        if k == 0:
+            return _reduced(self.alphabet, ())
+        # w = p c p^-1 with c nonempty and cyclically reduced (or w empty),
+        # so p c^k p^-1 is reduced for k >= 1; for k = 0 it would be p p^-1.
         prefix, core = _cyclic_strip(self.letters)
-        tail = tuple(c ^ 1 for c in reversed(prefix))
-        return Word(self.alphabet, prefix + core * k + tail)
+        return _reduced(self.alphabet, prefix + core * k + _inverse(prefix))
 
     def __str__(self) -> str:
         return format_word(self)
@@ -175,10 +184,39 @@ class Word:
         return len(ls) < 2 or ls[0] != ls[-1] ^ 1
 
 
+def _reduced(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
+    """A Word over ``letters`` without the reduction pass.
+
+    Only for letters the caller has shown to be freely reduced; public
+    construction goes through ``Word``, which reduces.
+    """
+    w = object.__new__(Word)
+    w.alphabet = alphabet
+    w.letters = letters
+    return w
+
+
+def _inverse(codes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([c ^ 1 for c in codes[::-1]])
+
+
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The free reduction of ``a + b`` for reduced ``a`` and ``b``.
+
+    Only letters at the junction can cancel: once the first letter of what
+    is left of ``b`` no longer cancels the last of ``a``, the rest is reduced.
+    """
+    n, m = len(a), min(len(a), len(b))
+    k = 0
+    while k < m and a[n - 1 - k] == b[k] ^ 1:
+        k += 1
+    return a[: n - k] + b[k:]
+
+
 def _check_same_alphabet(*words: Word) -> None:
     first = words[0].alphabet
     for w in words[1:]:
-        if w.alphabet != first:
+        if w.alphabet is not first and w.alphabet != first:
             raise AlphabetMismatch(
                 f"mixed alphabets {first!r} and {w.alphabet!r}"
             )
@@ -194,26 +232,27 @@ def reduce(raw: Iterable[Letter], alphabet: Alphabet) -> Word:
 
 def multiply(u: Word, v: Word) -> Word:
     _check_same_alphabet(u, v)
-    return Word(u.alphabet, u.letters + v.letters)
+    return _reduced(u.alphabet, _join(u.letters, v.letters))
 
 
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple(c ^ 1 for c in reversed(w.letters)))
+    return _reduced(w.alphabet, _inverse(w.letters))
 
 
 def conjugate(x: Word, g: Word) -> Word:
     """x ** g, i.e. g^-1 * x * g."""
     _check_same_alphabet(x, g)
-    gi = tuple(c ^ 1 for c in reversed(g.letters))
-    return Word(x.alphabet, gi + x.letters + g.letters)
+    return _reduced(
+        x.alphabet, _join(_join(_inverse(g.letters), x.letters), g.letters)
+    )
 
 
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x y x^-1 y^-1."""
     _check_same_alphabet(x, y)
-    xi = tuple(c ^ 1 for c in reversed(x.letters))
-    yi = tuple(c ^ 1 for c in reversed(y.letters))
-    return Word(x.alphabet, x.letters + y.letters + xi + yi)
+    xs, ys = x.letters, y.letters
+    codes = _join(_join(_join(xs, ys), _inverse(xs)), _inverse(ys))
+    return _reduced(x.alphabet, codes)
 
 
 @dataclass(frozen=True)
@@ -239,27 +278,52 @@ def _cyclic_strip(codes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, .
 
 
 def _least_rotation(codes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Lexicographically least rotation and its offset.  O(L^2) is fine here."""
-    if not codes:
+    """Lexicographically least rotation and its smallest offset, in O(L).
+
+    Duval's Lyndon factorization ("Factorizing words over an ordered
+    alphabet", J. Algorithms 1983) run over ``codes + codes``, with the same
+    linear bound as Booth, "Lexicographically least circular substrings"
+    (IPL 1980).  Each outer step starts a block of equal Lyndon factors at
+    ``i``; the least rotation starts at the last block that begins in the
+    first copy, at the first factor of that block, which is the smallest
+    offset when ``codes`` is periodic.
+    """
+    n = len(codes)
+    if n < 2:
         return codes, 0
-    best, best_i = codes, 0
-    for i in range(1, len(codes)):
-        rot = codes[i:] + codes[:i]
-        if rot < best:
-            best, best_i = rot, i
-    return best, best_i
+    s = codes + codes
+    end = 2 * n
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < end and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        step = j - k
+        while i <= k:
+            i += step
+    return s[start : start + n], start
 
 
 def cyclic_normal_form(w: Word) -> CyclicWord:
     prefix, core = _cyclic_strip(w.letters)
     best, offset = _least_rotation(core)
-    conj = Word(w.alphabet, prefix + core[:offset])
-    return CyclicWord(Word(w.alphabet, best), conj)
+    # best rotates a cyclically reduced core, and the conjugator is a prefix
+    # of w, so both are reduced
+    conj = _reduced(w.alphabet, prefix + core[:offset])
+    return CyclicWord(_reduced(w.alphabet, best), conj)
+
+
+def cyclic_canonical(w: Word) -> Word:
+    """``cyclic_normal_form(w).canonical`` without building the conjugator."""
+    best, _ = _least_rotation(_cyclic_strip(w.letters)[1])
+    return _reduced(w.alphabet, best)
 
 
 def is_conjugate(u: Word, v: Word) -> bool:
     _check_same_alphabet(u, v)
-    return cyclic_normal_form(u).canonical == cyclic_normal_form(v).canonical
+    return cyclic_canonical(u).letters == cyclic_canonical(v).letters
 
 
 def root(w: Word) -> tuple[Word, int]:
@@ -277,7 +341,7 @@ def root(w: Word) -> tuple[Word, int]:
             period = d
             break
     k = n // period
-    r = Word(w.alphabet, prefix + core[:period] + tuple(c ^ 1 for c in reversed(prefix)))
+    r = Word(w.alphabet, prefix + core[:period] + _inverse(prefix))
     return r, k
 
 

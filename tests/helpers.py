@@ -1,5 +1,5 @@
-"""Shared test utilities: seeded random words, small enumerations and the
-reference fold."""
+"""Shared test utilities: seeded random words, small enumerations, the
+reference fold and the reference least rotation."""
 
 from __future__ import annotations
 
@@ -28,6 +28,22 @@ def all_reduced_words(alphabet: Alphabet, length: int) -> list[Word]:
         if ok:
             out.append(Word(alphabet, codes))
     return out
+
+
+def naive_least_rotation(codes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Lexicographically least rotation and its offset.  O(L^2) is fine here.
+
+    Test oracle for ``freefold.words._least_rotation``, which must return the
+    same rotation and the same (smallest) offset.
+    """
+    if not codes:
+        return codes, 0
+    best, best_i = codes, 0
+    for i in range(1, len(codes)):
+        rot = codes[i:] + codes[:i]
+        if rot < best:
+            best, best_i = rot, i
+    return best, best_i
 
 
 def naive_fold(gens: Sequence[Word], alphabet: Alphabet | None = None) -> SubgroupGraph:

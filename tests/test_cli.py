@@ -64,6 +64,15 @@ def test_primitive_true_false(capsys):
     assert run(capsys, "primitive", "--alphabet", "a,b", "a b a^-1 b^-1")[0] == 1
 
 
+def test_primitive_exhausted_budget_is_undecided(capsys):
+    code, out, err = run(
+        capsys, "primitive", "--budget", "1", "--alphabet", "a,b", "a b a b^-1"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("undecided:")
+
+
 def test_member(capsys):
     code, out, _ = run(
         capsys, "member", "--alphabet", "a,b", "--gen", "a^2", "--gen", "b",

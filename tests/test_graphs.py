@@ -135,6 +135,26 @@ def test_membership_certificates():
             assert verify_expression(graph, w)
 
 
+def test_basis_and_express_are_stable_across_calls():
+    # the spanning tree is built once per graph; later calls must read the
+    # same basis and certificates as the first, and as a fresh graph does
+    rng = random.Random(47)
+    al = Alphabet.parse("x,y,z")
+    for _ in range(40):
+        gens = [random_word(rng, al, 5, nonempty=True) for _ in range(rng.randint(1, 4))]
+        graph = fold_subgroup(gens, al)
+        members = list(brute_force_elements(gens, 2))[:20]
+        basis = graph.basis()
+        certificates = [graph.express(w) for w in members]
+        for _ in range(3):
+            assert graph.basis() == basis
+            assert [graph.express(w) for w in members] == certificates
+            assert all(verify_expression(graph, w) for w in members)
+        fresh = fold_subgroup(gens, al)
+        assert [fresh.express(w) for w in members] == certificates
+        assert fresh.basis() == basis
+
+
 # -- rank and bases ----------------------------------------------------------
 
 

@@ -10,9 +10,11 @@ from freefold.words import (
     Letter,
     Word,
     WordSyntaxError,
+    _least_rotation,
     centralizer_equal,
     commutator,
     conjugate,
+    cyclic_canonical,
     cyclic_normal_form,
     format_word,
     invert,
@@ -23,7 +25,7 @@ from freefold.words import (
     restrict_word,
     root,
 )
-from helpers import random_word
+from helpers import naive_least_rotation, random_word
 
 AB = Alphabet.parse("a0,b0")
 BIG = Alphabet.parse("c0,a0,b0,t0")
@@ -97,6 +99,68 @@ def test_invert_examples():
 def test_invert_cancels(w):
     assert not multiply(w, invert(w))
     assert not multiply(invert(w), w)
+
+
+def _inv(codes):
+    return tuple(c ^ 1 for c in reversed(codes))
+
+
+def _kernel_operands(rng, al):
+    """Pairs with long junction cancellation, full cancellation and empty words."""
+    e = al.identity()
+    pairs = [(e, e)]
+    for _ in range(800):
+        u = random_word(rng, al, 10)
+        # v starts by undoing a random suffix of u, so the product cancels
+        # across the junction, possibly through all of u
+        cut = rng.randint(0, len(u))
+        v = Word(al, _inv(u.letters[cut:]) + random_word(rng, al, 6).letters)
+        pairs += [(u, v), (v, u), (u, invert(u)), (u, e), (e, u), (u, u)]
+    return pairs
+
+
+def test_kernel_matches_reducing_constructor():
+    # every operation that skips the reduction pass must give the letters
+    # that the reducing constructor gives on the raw concatenation
+    rng = random.Random(37)
+    for al in (AB, Alphabet.parse("x,y,z")):
+        for u, v in _kernel_operands(rng, al):
+            x, y = u.letters, v.letters
+            assert multiply(u, v).letters == Word(al, x + y).letters
+            assert invert(u).letters == Word(al, _inv(x)).letters
+            assert conjugate(u, v).letters == Word(al, _inv(y) + x + y).letters
+            assert commutator(u, v).letters == Word(
+                al, x + y + _inv(x) + _inv(y)).letters
+            for k in range(-4, 5):
+                raw = x * k if k >= 0 else _inv(x) * -k
+                assert (u ** k).letters == Word(al, raw).letters
+            cw = cyclic_normal_form(u)
+            assert cw.canonical.letters == Word(al, cw.canonical.letters).letters
+            assert cw.conjugator.letters == Word(al, cw.conjugator.letters).letters
+            assert cyclic_canonical(u) == cw.canonical
+
+
+def test_least_rotation_matches_naive_oracle():
+    rng = random.Random(43)
+    cases = [(), (5,), (0, 0), (1, 0)]
+    for _ in range(1500):
+        cases.append(tuple(rng.randrange(4) for _ in range(rng.randint(1, 30))))
+        period = tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
+        cases.append(period * rng.randint(2, 8))
+        cases.append((rng.randrange(6),) * rng.randint(1, 12))
+    for _ in range(3):
+        cases.append(tuple(rng.randrange(6) for _ in range(2000)))
+        cases.append(tuple(rng.randrange(2) for _ in range(8)) * 250)
+        cases.append((rng.randrange(6),) * 2000)
+    for codes in cases:
+        assert _least_rotation(codes) == naive_least_rotation(codes), codes
+
+
+def test_equal_alphabets_need_not_be_the_same_object():
+    other = Alphabet.parse("a0,b0")
+    assert other is not AB and other == AB
+    assert multiply(AB.word("a0"), other.word("a0^-1 b0")) == AB.word("b0")
+    assert is_conjugate(AB.word("a0 b0"), other.word("b0 a0"))
 
 
 # -- conjugate / commutator -------------------------------------------------
