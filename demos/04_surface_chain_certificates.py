@@ -1,16 +1,7 @@
 #!/usr/bin/env python3
 """Build the glued-surface witness groups and run every certificate."""
 
-from freefold import (
-    build_chain,
-    cross_conjugacy_scan,
-    explicit_flag_decomposition,
-    verify_free_factor_chain,
-    verify_not_decomposable,
-    verify_relation_chain,
-    verify_surface_rewrite,
-)
-from freefold.chain import documented_orbit_instances, orbit_distinct_check, separation_parts
+from freefold import build_chain, run_checks, verify_surface_rewrite
 
 N = 4
 chain = build_chain(N)
@@ -20,18 +11,7 @@ for i in range(N + 1):
 
 print()
 print("== certificates ==")
-reports = [
-    verify_relation_chain(chain),
-    verify_free_factor_chain(chain),
-    verify_surface_rewrite(chain),
-    explicit_flag_decomposition(chain, 1),
-    verify_not_decomposable(chain),
-]
-p1, p2 = separation_parts(chain)
-reports.append(cross_conjugacy_scan(p1, p2, max_len=4))
-for tag, family, g, bound in documented_orbit_instances():
-    reports.append(orbit_distinct_check(family, g, bound, check_suffix=tag))
-
+reports, _ = run_checks(chain, "all", max_len=4)
 for r in sorted(reports, key=lambda r: r.check):
     print(f"{r.status:>6}  {r.check}  {r.params}")
 

@@ -21,6 +21,7 @@ from .chain import (
     dehn_twist_family,
     explicit_flag_decomposition,
     orbit_distinct_check,
+    run_checks,
     surface_rewrite,
     verify_free_factor_chain,
     verify_not_decomposable,

@@ -15,14 +15,16 @@ computes.  ``build_chain`` defaults to the closing one and
 ``verify_surface_rewrite`` checks that exactly one of the two does close.
 
 Every verifier returns a structured VerificationReport so callers can emit
-witnesses on failure instead of a bare boolean.
+witnesses on failure instead of a bare boolean.  ``CHECKS`` is the registry
+of those checks by lemma name, each with the depths n it applies to and its
+runner; ``run_checks`` runs one or all of them for ``freefold verify``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .abelian import exponent_vector, is_basis_extendable_abelian
 from .graphs import fold_subgroup, is_basis_of_ambient
@@ -103,7 +105,6 @@ class SurfaceChain:
     s: tuple[Word, ...]
     h_tuples: tuple[tuple[Word, Word, Word], ...]
     inverted_stable_letters: bool = False
-    rewrite: "SurfaceRewrite | None" = None
 
     def a(self, i: int) -> Word:
         return self.alphabet.gen(f"a{i}")
@@ -226,6 +227,7 @@ class SurfaceRewrite:
     d_n_prime: Word
     new_basis: list[Word]
     identity_residue: Word
+    dblprime_residue: Word
 
 
 def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
@@ -238,8 +240,11 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
              [a'_{n-1},b'_{n-1}] ... [a'_1,b'_1]
 
     and conjugating the odd-index handles once more by d'_n pushes the
-    boundary word to the far end.  identity_residue is the free reduction of
-    c0^-1 times the right-hand side; it must come out empty.
+    boundary word to the far end.  identity_residue and dblprime_residue are
+    the free reductions of c0^-1 times each right-hand side; both must come
+    out empty.  They are the same reduced word, as
+    [a''_j,b''_j] = d'^-1 [a'_j,b'_j] d', so the second recomputes the first
+    through the double-primed handles of the new basis.
     """
     n = chain.n
     if n < 2 or n % 2:
@@ -256,13 +261,15 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
         a_pp[j] = conjugate(a_p[j], d_np)
         b_pp[j] = conjugate(b_p[j], d_np)
 
-    rhs = commutator(chain.b(0), chain.a(0))
+    prefix = commutator(chain.b(0), chain.a(0))
     for j in range(2, n + 1, 2):
-        rhs = multiply(rhs, commutator(b_p[j], a_p[j]))
-    rhs = multiply(rhs, invert(d_np))
+        prefix = multiply(prefix, commutator(b_p[j], a_p[j]))
+    rhs, rhs_pp = multiply(prefix, invert(d_np)), prefix
     for j in range(n - 1, 0, -2):
         rhs = multiply(rhs, commutator(a_p[j], b_p[j]))
-    residue = multiply(invert(chain.c[0]), rhs)
+        rhs_pp = multiply(rhs_pp, commutator(a_pp[j], b_pp[j]))
+    rhs_pp = multiply(rhs_pp, invert(d_np))
+    c0_inv = invert(chain.c[0])
 
     new_basis = [chain.a(0), chain.b(0)]
     for j in range(1, n + 1):
@@ -272,18 +279,8 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
         else:
             new_basis += [a_p[j], b_p[j]]
     new_basis.append(d_np)
-    return SurfaceRewrite(a_p, b_p, a_pp, b_pp, d_np, new_basis, residue)
-
-
-def surface_residue_dblprime(chain: SurfaceChain, rw: SurfaceRewrite) -> Word:
-    """The equivalent relator with double-primed handles, boundary word last."""
-    rhs = commutator(chain.b(0), chain.a(0))
-    for j in range(2, chain.n + 1, 2):
-        rhs = multiply(rhs, commutator(rw.b_prime[j], rw.a_prime[j]))
-    for j in range(chain.n - 1, 0, -2):
-        rhs = multiply(rhs, commutator(rw.a_dblprime[j], rw.b_dblprime[j]))
-    rhs = multiply(rhs, invert(rw.d_n_prime))
-    return multiply(invert(chain.c[0]), rhs)
+    return SurfaceRewrite(a_p, b_p, a_pp, b_pp, d_np, new_basis,
+                          multiply(c0_inv, rhs), multiply(c0_inv, rhs_pp))
 
 
 def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
@@ -295,9 +292,8 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
     rw = surface_rewrite(chain)
     if rw.identity_residue:
         witnesses.append(f"primed residue: {rw.identity_residue}")
-    dbl = surface_residue_dblprime(chain, rw)
-    if dbl:
-        witnesses.append(f"double-primed residue: {dbl}")
+    if rw.dblprime_residue:
+        witnesses.append(f"double-primed residue: {rw.dblprime_residue}")
     if not is_basis_of_ambient(rw.new_basis, chain.alphabet):
         witnesses.append("rewritten generating set is not a basis")
     flipped = build_chain(n, inverted_stable_letters=not chain.inverted_stable_letters)
@@ -315,10 +311,15 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
     return _finish("surface_rewrite", params, witnesses, started)
 
 
+def flag_indices(n: int) -> range:
+    """The flag indices i valid at depth n: 1 <= i and 2i + 2 <= n."""
+    return range(1, n // 2)
+
+
 def flag_parts(chain: SurfaceChain, i: int) -> tuple[list[Word], list[Word], list[Word]]:
     """The three free factors K, H, L of the stage-2i flag decomposition."""
     n = chain.n
-    if i < 1 or 2 * i + 2 > n:
+    if i not in flag_indices(n):
         raise ValueError(f"flag index i={i} out of range for n={n}")
     k_part = complement_basis(chain, 2 * i - 1) + [chain.t(2 * i - 1)]
     h_part = [chain.a(2 * i), chain.b(2 * i), chain.c[2 * i]]
@@ -479,7 +480,10 @@ def cross_conjugacy_scan(
     Enumerates every nontrivial element of each subgroup that is a product
     of at most max_len subgroup-basis letters, dedupes each side by
     canonical cyclic form, and passes iff no class appears on both sides.
+    max_len and element_cap must be at least 1: an empty scan is no evidence.
     """
+    if min(max_len, element_cap) < 1:
+        raise ValueError(f"scan needs max_len, element_cap >= 1, got {max_len}, {element_cap}")
     started = time.perf_counter()
     params = {"max_len": max_len, "element_cap": element_cap}
     sides = []
@@ -524,3 +528,74 @@ def separation_parts(chain: SurfaceChain) -> tuple[list[Word], list[Word]]:
     if chain.n < 2:
         raise ValueError("separation needs n >= 2")
     return list(chain.h_tuples[0]), list(chain.h_tuples[2])
+
+
+class Check(NamedTuple):
+    """A registry entry: ``skip(n)`` is None if the check applies at depth n,
+    else the reason it does not; ``run(chain, i, max_len, element_cap)``."""
+
+    skip: Callable[[int], str | None]
+    run: Callable[[SurfaceChain, int | None, int, int], list[VerificationReport]]
+
+
+def _needs_n1(n: int) -> str | None:
+    return None if n >= 1 else "needs n >= 1"
+
+
+# Runners look checks up in this module's globals at call time, so a check
+# rebound here (by a tracer or a test) sees every call.
+CHECKS: dict[str, Check] = {
+    "relation": Check(lambda n: None, lambda ch, *_: [verify_relation_chain(ch)]),
+    "freefactor": Check(_needs_n1, lambda ch, *_: [verify_free_factor_chain(ch)]),
+    "surface": Check(
+        lambda n: None if n >= 2 and n % 2 == 0 else "n odd or below 2",
+        lambda ch, *_: [verify_surface_rewrite(ch)],
+    ),
+    "flag": Check(
+        lambda n: None if flag_indices(n) else "no valid index for this n",
+        lambda ch, i, *_: [explicit_flag_decomposition(ch, j)
+                           for j in (flag_indices(ch.n) if i is None else [i])],
+    ),
+    "abelian": Check(_needs_n1, lambda ch, *_: [verify_not_decomposable(ch)]),
+    "orbit": Check(lambda n: None, lambda ch, *_: [
+        orbit_distinct_check(family, g, N, check_suffix=tag)
+        for tag, family, g, N in documented_orbit_instances()
+    ]),
+    "separation": Check(
+        lambda n: None if n >= 2 else "needs n >= 2",
+        lambda ch, i, max_len, cap: [cross_conjugacy_scan(*separation_parts(ch), max_len, cap)],
+    ),
+}
+
+
+def run_checks(
+    chain: SurfaceChain,
+    lemma: str,
+    i: int | None = None,
+    max_len: int = 6,
+    element_cap: int = DEFAULT_SCAN_CAP,
+) -> tuple[list[VerificationReport], list[str]]:
+    """Run one registered check, or all of them for ``lemma == "all"``, and
+    return ``(reports, notes)``.
+
+    Under ``all`` a check that does not apply at this depth becomes the note
+    ``"<lemma> skipped: <reason>"``, and flag runs at every valid index.  A
+    single lemma that does not apply raises ValueError(reason); flag alone
+    needs its index i.  max_len and element_cap bound the separation scan.
+    """
+    if lemma != "all":
+        reason = CHECKS[lemma].skip(chain.n)
+        if reason is None and lemma == "flag" and i is None:
+            reason = "the flag check needs an index --i"
+        if reason is not None:
+            raise ValueError(reason)
+        return CHECKS[lemma].run(chain, i, max_len, element_cap), []
+    reports: list[VerificationReport] = []
+    notes: list[str] = []
+    for name, check in CHECKS.items():
+        reason = check.skip(chain.n)
+        if reason is None:
+            reports += check.run(chain, None, max_len, element_cap)
+        else:
+            notes.append(f"{name} skipped: {reason}")
+    return reports, notes

@@ -1,8 +1,9 @@
 """Command-line front end: word utilities, relation queries, certificates.
 
 Exit codes: 0 = pass / true, 1 = fail / false, 2 = usage or input error,
-3 = undecided: a search ran out of its budget (``primitive --budget``)
-before it could answer.
+3 = undecided: a search ran out of its budget before it could answer
+(``primitive --budget``; ``verify`` when a report is budget-exhausted and
+none failed).  ``--budget`` and ``--max-len`` must be at least 1.
 Reports print as text or as JSON objects with the stable schema
 {"check", "params", "status", "witnesses", "elapsed_ms"}.
 """
@@ -13,19 +14,14 @@ import argparse
 import json
 import sys
 
-from . import chain as chain_mod
 from .chain import (
+    BUDGET,
+    CHECKS,
+    DEFAULT_SCAN_CAP,
+    FAIL,
     VerificationReport,
     build_chain,
-    cross_conjugacy_scan,
-    documented_orbit_instances,
-    explicit_flag_decomposition,
-    orbit_distinct_check,
-    separation_parts,
-    verify_free_factor_chain,
-    verify_not_decomposable,
-    verify_relation_chain,
-    verify_surface_rewrite,
+    run_checks,
 )
 from .cosets import e0, e1, e2, e3
 from .graphs import fold_subgroup
@@ -41,8 +37,7 @@ from .words import (
     root,
 )
 
-LEMMAS = ("relation", "freefactor", "surface", "flag", "abelian", "orbit",
-          "separation", "all")
+LEMMAS = (*CHECKS, "all")
 
 
 class _UsageError(Exception):
@@ -54,6 +49,13 @@ def _alphabet(text: str) -> Alphabet:
         return Alphabet.parse(text)
     except ValueError as exc:
         raise _UsageError(f"bad alphabet: {exc}") from exc
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _word(text: str, alphabet: Alphabet) -> Word:
@@ -79,78 +81,12 @@ def _emit_reports(reports: list[VerificationReport], notes: list[str],
         print(f"  note  {note}")
 
 
-def _flag_indices(n: int) -> list[int]:
-    return [i for i in range(1, n) if 2 * i + 2 <= n]
-
-
 def _run_verify(args) -> int:
     chain = build_chain(args.n, inverted_stable_letters=args.flip_convention)
-    reports: list[VerificationReport] = []
-    notes: list[str] = []
-
-    def run_surface():
-        if chain.n >= 2 and chain.n % 2 == 0:
-            reports.append(verify_surface_rewrite(chain))
-        else:
-            notes.append("surface skipped: n odd or below 2")
-
-    def run_flag(indices):
-        if not indices:
-            notes.append("flag skipped: no valid index for this n")
-        for i in indices:
-            reports.append(explicit_flag_decomposition(chain, i))
-
-    def run_separation():
-        if chain.n >= 2:
-            p1, p2 = separation_parts(chain)
-            reports.append(
-                cross_conjugacy_scan(p1, p2, args.max_len, args.budget or
-                                     chain_mod.DEFAULT_SCAN_CAP)
-            )
-        else:
-            notes.append("separation skipped: needs n >= 2")
-
-    def run_orbit():
-        for tag, family, g, N in documented_orbit_instances():
-            reports.append(orbit_distinct_check(family, g, N, check_suffix=tag))
-
-    lemma = args.lemma
-    if lemma == "relation":
-        reports.append(verify_relation_chain(chain))
-    elif lemma == "freefactor":
-        reports.append(verify_free_factor_chain(chain))
-    elif lemma == "surface":
-        if chain.n < 2 or chain.n % 2:
-            raise _UsageError("--lemma surface needs even n >= 2")
-        reports.append(verify_surface_rewrite(chain))
-    elif lemma == "flag":
-        if args.i is None:
-            raise _UsageError("--lemma flag needs --i")
-        if args.i not in _flag_indices(chain.n):
-            raise _UsageError(f"--i {args.i} out of range for n={chain.n}")
-        reports.append(explicit_flag_decomposition(chain, args.i))
-    elif lemma == "abelian":
-        reports.append(verify_not_decomposable(chain))
-    elif lemma == "orbit":
-        run_orbit()
-    elif lemma == "separation":
-        if chain.n < 2:
-            raise _UsageError("--lemma separation needs n >= 2")
-        run_separation()
-    else:  # all
-        reports.append(verify_relation_chain(chain))
-        if chain.n >= 1:
-            reports.append(verify_free_factor_chain(chain))
-            reports.append(verify_not_decomposable(chain))
-        else:
-            notes.append("freefactor and abelian skipped: need n >= 1")
-        run_surface()
-        run_flag(_flag_indices(chain.n))
-        run_separation()
-        run_orbit()
-
+    reports, notes = run_checks(chain, args.lemma, args.i, args.max_len, args.budget)
     _emit_reports(reports, notes, args.format)
-    return 0 if all(r.passed for r in reports) else 1
+    statuses = {r.status for r in reports}
+    return 1 if FAIL in statuses else 3 if BUDGET in statuses else 0
 
 
 def _cmd_reduce(args) -> int:
@@ -175,7 +111,7 @@ def _cmd_root(args) -> int:
 
 def _cmd_primitive(args) -> int:
     alphabet = _alphabet(args.alphabet)
-    result = is_primitive(_word(args.word, alphabet), args.budget or DEFAULT_BUDGET)
+    result = is_primitive(_word(args.word, alphabet), args.budget)
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -261,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primitive", help="is the word part of some basis")
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("word")
     p.set_defaults(fn=_cmd_primitive)
 
@@ -292,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", choices=LEMMAS, required=True)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=6, dest="max_len")
+    p.add_argument("--budget", type=_positive, default=DEFAULT_SCAN_CAP)
+    p.add_argument("--max-len", type=_positive, default=6, dest="max_len")
     p.add_argument("--flip-convention", action="store_true",
                    help=argparse.SUPPRESS)  # fault injection for testing
     p.set_defaults(fn=_run_verify)

@@ -6,6 +6,7 @@ import pytest
 import freefold.chain as chain_mod
 from freefold.abelian import exponent_vector, is_basis_extendable_abelian
 from freefold.chain import (
+    CHECKS,
     VerificationReport,
     build_chain,
     complement_basis,
@@ -15,8 +16,8 @@ from freefold.chain import (
     explicit_flag_decomposition,
     flag_parts,
     orbit_distinct_check,
+    run_checks,
     separation_parts,
-    surface_residue_dblprime,
     surface_rewrite,
     verify_free_factor_chain,
     verify_not_decomposable,
@@ -121,7 +122,7 @@ def test_surface_rewrite_residues_empty():
         ch = build_chain(n)
         rw = surface_rewrite(ch)
         assert not rw.identity_residue
-        assert not surface_residue_dblprime(ch, rw)
+        assert not rw.dblprime_residue
         assert len(rw.new_basis) == 3 * (n + 1)
         assert is_basis_of_ambient(rw.new_basis, ch.alphabet)
 
@@ -278,11 +279,50 @@ def test_scan_budget_exhaustion():
     assert report.witnesses == []
 
 
+def test_scan_rejects_empty_bounds():
+    al = Alphabet.parse("a0,b0")
+    for max_len, cap in ((0, 10), (-3, 10), (3, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            cross_conjugacy_scan([al.word("a0")], [al.word("b0")], max_len, cap)
+
+
 def test_separation_parts_shape():
     ch = build_chain(2)
     p1, p2 = separation_parts(ch)
     assert [str(w) for w in p1] == ["a0", "b0", "c0"]
     assert p2[0] == ch.a(2) and p2[1] == ch.b(2) and p2[2] == ch.c[2]
+
+
+# -- check registry ---------------------------------------------------------------
+
+
+def test_registry_runners_call_through_module_globals(monkeypatch):
+    calls = []
+    original = chain_mod.verify_relation_chain
+
+    def counted(ch):
+        calls.append(ch.n)
+        return original(ch)
+
+    monkeypatch.setattr(chain_mod, "verify_relation_chain", counted)
+    reports, notes = run_checks(build_chain(1), "all", max_len=2)
+    assert calls == [1]
+    assert {r.check for r in reports} >= {"relation_chain", "free_factor_chain"}
+    assert notes == ["surface skipped: n odd or below 2",
+                     "flag skipped: no valid index for this n",
+                     "separation skipped: needs n >= 2"]
+
+
+def test_single_inapplicable_lemma_raises_its_reason():
+    ch = build_chain(3)
+    for lemma in CHECKS:
+        reason = CHECKS[lemma].skip(ch.n)
+        if reason is not None:
+            with pytest.raises(ValueError, match=reason):
+                run_checks(ch, lemma, i=1)
+    with pytest.raises(ValueError, match="index"):
+        run_checks(build_chain(4), "flag")
+    assert len(run_checks(build_chain(6), "flag", i=2)[0]) == 1
 
 
 # -- reports ----------------------------------------------------------------------

@@ -2,8 +2,9 @@ import io
 import json
 
 import jsonschema
+import pytest
 
-from freefold.chain import VerificationReport
+from freefold.chain import CHECKS, VerificationReport, flag_indices
 from freefold.cli import main
 
 REPORT_SCHEMA = {
@@ -171,6 +172,59 @@ def test_verify_injected_convention_flip_fails_with_residue(capsys):
 def test_verify_surface_odd_n_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--n", "3", "--lemma", "surface")
     assert code == 2
+
+
+def test_verify_exhausted_budget_is_undecided(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "2", "--lemma", "separation",
+                       "--budget", "10")
+    assert code == 3
+    assert out.startswith("budget-exhausted")
+    # a failing report outranks an exhausted budget
+    code, out, _ = run(capsys, "verify", "--n", "2", "--lemma", "all",
+                       "--budget", "10", "--max-len", "2", "--flip-convention")
+    assert code == 1
+    assert "budget-exhausted" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "2", "--lemma", "separation", "--budget", "0"),
+    ("verify", "--n", "2", "--lemma", "all", "--budget", "-5"),
+    ("verify", "--n", "2", "--lemma", "separation", "--max-len", "0"),
+    ("verify", "--n", "2", "--lemma", "separation", "--max-len", "-3"),
+    ("primitive", "--budget", "0", "--alphabet", "a,b", "a b a b^-1"),
+])
+def test_budget_and_scan_depth_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "at least 1" in err
+
+
+def _reports(out):
+    payload = json.loads(out)
+    rows = payload if isinstance(payload, list) else [payload]
+    return sorted((r["check"], sorted(r["params"].items()), r["status"], r["witnesses"])
+                  for r in rows)
+
+
+def test_verify_all_is_the_union_of_the_single_lemmas(capsys):
+    for n in range(7):
+        for flip in ((), ("--flip-convention",)):
+            base = ("verify", "--n", str(n), "--max-len", "2", *flip)
+            _, all_json, _ = run(capsys, *base, "--lemma", "all", "--format", "json")
+            _, all_text, _ = run(capsys, *base, "--lemma", "all")
+            singles = []
+            for lemma in CHECKS:
+                indices = (list(flag_indices(n)) or [1]) if lemma == "flag" else [None]
+                for i in indices:
+                    argv = [*base, "--lemma", lemma, "--format", "json"]
+                    if i is not None:
+                        argv += ["--i", str(i)]
+                    code, out, _ = run(capsys, *argv)
+                    skipped = f"note  {lemma} skipped: " in all_text
+                    assert (code == 2) == skipped, (n, flip, lemma)
+                    if not skipped:
+                        singles += _reports(out)
+            assert _reports(all_json) == sorted(singles), (n, flip)
 
 
 def test_unknown_subcommand_exits_2(capsys):
