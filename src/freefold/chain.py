@@ -31,6 +31,7 @@ from .graphs import fold_subgroup, is_basis_of_ambient
 from .whitehead import Automorphism
 from .words import (
     Alphabet,
+    AlphabetMismatch,
     DegenerateInput,
     Word,
     commutator,
@@ -444,29 +445,45 @@ def orbit_distinct_check(
     return _finish(check, params, [], started)
 
 
-def _ball_of_products(part: Sequence[Word], max_len: int, cap: int):
-    """All nontrivial reduced products of at most max_len part letters,
-    or None once more than cap distinct elements appear."""
+def _side_classes(part: Sequence[Word], max_len: int, cap: int):
+    """The conjugacy classes met in one side's ball, each with its first
+    element in breadth-first order, or None once more than cap distinct
+    nontrivial elements appear.  See ``cross_conjugacy_scan``."""
     if not part:
-        return []
-    alphabet = part[0].alphabet
+        return {}
+    identity = part[0].alphabet.identity()
     letters = []
     for w in part:
         letters += [w, invert(w)]
-    seen = {alphabet.identity().letters: alphabet.identity()}
-    frontier = [alphabet.identity()]
-    for _ in range(max_len):
+    seen = {identity.letters}
+    classes: dict[tuple, Word] = {}
+    # entries (element, discovering sequence seq, p): p is the length of the
+    # longest Lyndon prefix of seq, or 0 if seq is no prefix of a necklace
+    frontier = [(identity, (), 1)]
+    for m in range(max_len):
         nxt = []
-        for w in frontier:
-            for l in letters:
+        for w, seq, p in frontier:
+            # w times letters[back] is the element w was discovered from
+            back = seq[-1] ^ 1 if seq else -1
+            for i, l in enumerate(letters):
+                if i == back:
+                    continue
                 prod = multiply(w, l)
-                if prod.letters not in seen:
-                    seen[prod.letters] = prod
-                    nxt.append(prod)
-                    if len(seen) - 1 > cap:
-                        return None
+                if prod.letters in seen:
+                    continue
+                seen.add(prod.letters)
+                if len(seen) - 1 > cap:
+                    return None
+                s = seq + (i,)
+                # s is a prefix of a necklace iff i >= s[m - p]; its longest
+                # Lyndon prefix is then p long (i equal) or all of s (greater)
+                q = p and (0 if i < s[m - p] else p if i == s[m - p] else m + 1)
+                if q and (m + 1) % q == 0 and s[0] != i ^ 1:
+                    classes.setdefault(cyclic_canonical(prod).letters, prod)
+                if m + 1 < max_len:
+                    nxt.append((prod, s, q))
         frontier = nxt
-    return [w for key, w in seen.items() if key]
+    return classes
 
 
 def cross_conjugacy_scan(
@@ -481,22 +498,56 @@ def cross_conjugacy_scan(
     of at most max_len subgroup-basis letters, dedupes each side by
     canonical cyclic form, and passes iff no class appears on both sides.
     max_len and element_cap must be at least 1: an empty scan is no evidence.
+    Every word of both parts must lie over one alphabet (AlphabetMismatch).
+
+    Each side is one breadth-first scan over the letters
+    ``[w0, w0^-1, w1, w1^-1, ...]``, counting distinct elements by their
+    letters, and the report is budget-exhausted as soon as more than
+    element_cap of them are nontrivial.  Each element carries the index
+    sequence that first produced it, its discovering sequence, and the scan
+    keys only elements whose discovering sequence is cyclically reduced
+    (its first index is not the inverse of its last) and the least of its
+    own rotations, a necklace.  The necklace test is O(1) per element: a
+    prefix of a necklace is one exactly when the length of its longest
+    Lyndon prefix divides its length, and that length follows from the
+    parent's (the fundamental theorem of necklaces of Cattell, Ruskey,
+    Sawada, Serra and Miers, J. Algorithms 2000, which rests on Duval's
+    Lyndon factorization like ``words._least_rotation``).  The last level
+    is counted and keyed but not kept as a frontier.  That keys each class
+    of the ball at its first element:
+
+    1. A discovering sequence is the (length, lex)-least index sequence
+       whose product is its element, and elements are met in that order:
+       the scan expands the previous level in that order, each by the
+       letters in index order, and a product that comes back to an element
+       already seen is never its first discovery.  (So skipping the index
+       that undoes the last one, which gives the parent, changes nothing.)
+    2. Let g be the first element of the ball in a class, with discovering
+       sequence s.  If s = i t i^-1, the product of t is conjugate to g,
+       so nontrivial, and has a sequence two letters shorter, so it is met
+       before g.  If a
+       rotation r of s is lex-smaller, the product of r is conjugate to g
+       and its own discovering sequence is at most r < s, so it is met
+       before g.  Both contradict the choice of g, so g is keyed.
+
+    Keys go in with ``setdefault`` in breadth-first order, so each class
+    keeps its first element, as when every element of the ball was keyed:
+    the class counts, the status and the witnesses are unchanged.  On a
+    free basis each class has exactly one such element.
     """
     if min(max_len, element_cap) < 1:
         raise ValueError(f"scan needs max_len, element_cap >= 1, got {max_len}, {element_cap}")
+    if len({w.alphabet for w in (*part1, *part2)}) > 1:
+        raise AlphabetMismatch("scan parts over mixed alphabets")
     started = time.perf_counter()
     params = {"max_len": max_len, "element_cap": element_cap}
     sides = []
     for part in (part1, part2):
-        ball = _ball_of_products(part, max_len, element_cap)
-        if ball is None:
+        classes = _side_classes(part, max_len, element_cap)
+        if classes is None:
             return _finish(
                 "conjugacy_separation", params, [], started, status=BUDGET
             )
-        classes: dict[tuple, Word] = {}
-        for w in ball:
-            key = cyclic_canonical(w).letters
-            classes.setdefault(key, w)
         sides.append(classes)
     common = sorted(set(sides[0]) & set(sides[1]))
     witnesses = []

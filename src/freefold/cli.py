@@ -5,7 +5,8 @@ Exit codes: 0 = pass / true, 1 = fail / false, 2 = usage or input error,
 (``primitive --budget``; ``verify`` when a report is budget-exhausted and
 none failed).  ``--budget`` and ``--max-len`` must be at least 1.
 Reports print as text or as JSON objects with the stable schema
-{"check", "params", "status", "witnesses", "elapsed_ms"}.
+{"check", "params", "status", "witnesses", "elapsed_ms"}; in JSON mode the
+notes of skipped checks go to stderr.
 """
 
 from __future__ import annotations
@@ -71,14 +72,15 @@ def _emit_reports(reports: list[VerificationReport], notes: list[str],
     if fmt == "json":
         payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
-        return
-    for r in reports:
-        params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
-        print(f"{r.status:>6}  {r.check}  {params}  ({r.elapsed_ms} ms)")
-        for w in r.witnesses:
-            print(f"        witness: {w}")
+    else:
+        for r in reports:
+            params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+            print(f"{r.status:>6}  {r.check}  {params}  ({r.elapsed_ms} ms)")
+            for w in r.witnesses:
+                print(f"        witness: {w}")
+    # JSON stdout holds reports only, so its notes go to stderr
     for note in notes:
-        print(f"  note  {note}")
+        print(f"  note  {note}", file=sys.stderr if fmt == "json" else sys.stdout)
 
 
 def _run_verify(args) -> int:

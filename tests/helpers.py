@@ -1,14 +1,23 @@
 """Shared test utilities: seeded random words, small enumerations, the
-reference fold and the reference least rotation."""
+reference fold, the reference least rotation and the reference ball scan."""
 
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 from typing import Sequence
 
+from freefold.chain import BUDGET, DEFAULT_SCAN_CAP, VerificationReport, _finish
 from freefold.graphs import SubgroupGraph
-from freefold.words import Alphabet, AlphabetMismatch, Word
+from freefold.words import (
+    Alphabet,
+    AlphabetMismatch,
+    Word,
+    cyclic_canonical,
+    invert,
+    multiply,
+)
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, max_len: int,
@@ -164,3 +173,65 @@ def naive_fold(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Subgro
         out[order[u]][g] = order[v]
         inc[order[v]][g] = order[u]
     return SubgroupGraph(alphabet, n, tuple(out), tuple(inc), tuple(gens))
+
+
+def _ball_of_products(part: Sequence[Word], max_len: int, cap: int):
+    """All nontrivial reduced products of at most max_len part letters,
+    or None once more than cap distinct elements appear."""
+    if not part:
+        return []
+    alphabet = part[0].alphabet
+    letters = []
+    for w in part:
+        letters += [w, invert(w)]
+    seen = {alphabet.identity().letters: alphabet.identity()}
+    frontier = [alphabet.identity()]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for l in letters:
+                prod = multiply(w, l)
+                if prod.letters not in seen:
+                    seen[prod.letters] = prod
+                    nxt.append(prod)
+                    if len(seen) - 1 > cap:
+                        return None
+        frontier = nxt
+    return [w for key, w in seen.items() if key]
+
+
+def naive_cross_conjugacy_scan(
+    part1: Sequence[Word],
+    part2: Sequence[Word],
+    max_len: int,
+    element_cap: int = DEFAULT_SCAN_CAP,
+) -> VerificationReport:
+    """Key every element of both balls by its canonical cyclic form.
+
+    Test oracle for ``freefold.chain.cross_conjugacy_scan``, which keys only
+    one element per class and must return the same status, params and
+    witnesses on parts over one alphabet.
+    """
+    if min(max_len, element_cap) < 1:
+        raise ValueError(f"scan needs max_len, element_cap >= 1, got {max_len}, {element_cap}")
+    started = time.perf_counter()
+    params = {"max_len": max_len, "element_cap": element_cap}
+    sides = []
+    for part in (part1, part2):
+        ball = _ball_of_products(part, max_len, element_cap)
+        if ball is None:
+            return _finish(
+                "conjugacy_separation", params, [], started, status=BUDGET
+            )
+        classes: dict[tuple, Word] = {}
+        for w in ball:
+            key = cyclic_canonical(w).letters
+            classes.setdefault(key, w)
+        sides.append(classes)
+    common = sorted(set(sides[0]) & set(sides[1]))
+    witnesses = []
+    if common:
+        key = common[0]
+        witnesses = [str(sides[0][key]), str(sides[1][key])]
+    params = {**params, "classes_1": len(sides[0]), "classes_2": len(sides[1])}
+    return _finish("conjugacy_separation", params, witnesses, started)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -25,7 +26,18 @@ from freefold.chain import (
     verify_surface_rewrite,
 )
 from freefold.graphs import fold_subgroup, is_basis_of_ambient, membership_in_free_product_part
-from freefold.words import Alphabet, DegenerateInput, commutator, conjugate, invert, multiply
+from freefold.words import (
+    Alphabet,
+    AlphabetMismatch,
+    DegenerateInput,
+    Word,
+    commutator,
+    conjugate,
+    cyclic_canonical,
+    invert,
+    multiply,
+)
+from helpers import naive_cross_conjugacy_scan
 
 
 def test_build_examples():
@@ -284,6 +296,65 @@ def test_scan_rejects_empty_bounds():
     for max_len, cap in ((0, 10), (-3, 10), (3, 0), (3, -1)):
         with pytest.raises(ValueError):
             cross_conjugacy_scan([al.word("a0")], [al.word("b0")], max_len, cap)
+
+
+def test_scan_rejects_mixed_alphabets():
+    ab, xy = Alphabet.parse("a,b"), Alphabet.parse("x,y")
+    for part1, part2 in (([ab.word("a")], [xy.word("x")]),
+                         ([ab.word("a"), xy.word("x")], []),
+                         ([], [ab.word("b"), xy.word("y")])):
+        with pytest.raises(AlphabetMismatch):
+            cross_conjugacy_scan(part1, part2, 2)
+    # equal alphabets need not be the same object
+    report = cross_conjugacy_scan([ab.word("a")], [Alphabet.parse("a,b").word("b a b^-1")], 2)
+    assert (report.status, report.witnesses) == ("fail", ["a", "b a b^-1"])
+
+
+def _scan_key(report):
+    return report.status, report.params, report.witnesses
+
+
+def _random_part(rng, al):
+    """0-3 words from raw code lists with cancelling pairs, so a word may be
+    trivial and a part may repeat a word or hold its power."""
+    part = []
+    for _ in range(rng.randint(0, 3)):
+        if part and rng.random() < 0.25:
+            part.append(rng.choice(part) ** rng.choice((1, -1, 2, 3)))
+        else:
+            part.append(Word(al, [rng.randrange(2 * al.rank)
+                                  for _ in range(rng.randint(0, 4))]))
+    return part
+
+
+def test_scan_matches_ball_oracle(monkeypatch):
+    keyed = []
+
+    def counted(w):
+        keyed.append(w)
+        return cyclic_canonical(w)
+
+    monkeypatch.setattr(chain_mod, "cyclic_canonical", counted)
+    rng = random.Random(71)
+    for trial in range(3000):
+        names = [f"x{g}" for g in range(trial % 3 + 1)]
+        # the second part is over an equal but distinct alphabet object
+        part1 = _random_part(rng, Alphabet(names))
+        part2 = _random_part(rng, Alphabet(names))
+        max_len, cap = rng.randint(1, 4), rng.choice((1, 10, 50, 10**5))
+        got = cross_conjugacy_scan(part1, part2, max_len, cap)
+        want = naive_cross_conjugacy_scan(part1, part2, max_len, cap)
+        assert _scan_key(got) == _scan_key(want), (part1, part2, max_len, cap)
+    for n in (2, 4, 8):
+        for flip in (False, True):
+            parts = separation_parts(build_chain(n, inverted_stable_letters=flip))
+            keyed.clear()
+            got = cross_conjugacy_scan(*parts, 6)
+            assert _scan_key(got) == _scan_key(naive_cross_conjugacy_scan(*parts, 6))
+            assert got.params["classes_1"] == got.params["classes_2"] == 3506
+            # the parts are free bases: one key per class, none for the rest
+            # of the 2 x 23,436 elements
+            assert len(keyed) == 2 * 3506
 
 
 def test_separation_parts_shape():

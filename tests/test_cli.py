@@ -149,6 +149,19 @@ def test_verify_all_odd_n_skips_with_note(capsys):
     assert "flag skipped" in out
 
 
+def test_verify_json_skip_notes_go_to_stderr(capsys):
+    code, out, err = run(capsys, "verify", "--n", "0", "--lemma", "all",
+                         "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    for item in payload:
+        jsonschema.validate(item, REPORT_SCHEMA)
+    assert [item["check"] for item in payload] == [
+        "orbit_distinct[amalgam]", "orbit_distinct[hnn]", "relation_chain"]
+    assert [line.split()[1] for line in err.splitlines() if "skipped:" in line] == [
+        "freefactor", "surface", "flag", "abelian", "separation"]
+
+
 def test_verify_flag_out_of_range_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--n", "4", "--lemma", "flag", "--i", "9")
     assert code == 2 and "out of range" in err
