@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Folded subgroup graphs: membership, rank, basis extraction."""
 
-from freefold import Alphabet, basis_of, fold_subgroup, is_basis_of_ambient
+from freefold import Alphabet, fold_subgroup, is_basis_of_ambient
 
 F = Alphabet.parse("a,b")
 w = F.word
@@ -17,7 +17,7 @@ print()
 print("== basis from a spanning tree ==")
 messy = fold_subgroup([w("a b a^-1"), w("a b^2 a^-1"), w("a^3")])
 print("generators:", [str(g) for g in messy.generators_of])
-print("rank:", messy.rank(), " basis:", [str(x) for x in basis_of(messy)])
+print("rank:", messy.rank(), " basis:", [str(x) for x in messy.basis()])
 
 print()
 print("== recognizing bases of the ambient group ==")

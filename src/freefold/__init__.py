@@ -31,16 +31,12 @@ from .chain import (
 from .cosets import CosetAutomaton, double_coset_member, e0, e1, e2, e3
 from .graphs import (
     SubgroupGraph,
-    basis_of,
-    contains,
     fold_subgroup,
     is_basis_of_ambient,
-    membership_in_free_product_part,
 )
 from .whitehead import (
     Automorphism,
     BudgetExhausted,
-    apply_automorphism,
     extends_to_basis,
     is_primitive,
     minimize_tuple,

@@ -455,12 +455,24 @@ def _side_classes(part: Sequence[Word], max_len: int, cap: int):
     letters = []
     for w in part:
         letters += [w, invert(w)]
-    seen = {identity.letters}
+    # On a free basis the ball's size is known and every element is its own
+    # first discovery: no seen set, and no branch that cannot reach a key.
+    free = all(part) and fold_subgroup(part).rank() == len(part)
+    if free:
+        size, level = 0, len(letters)
+        for _ in range(max_len):
+            size += level
+            if size > cap:
+                return None
+            level *= len(letters) - 1
+    else:
+        seen = {identity.letters}
     classes: dict[tuple, Word] = {}
     # entries (element, discovering sequence seq, p): p is the length of the
     # longest Lyndon prefix of seq, or 0 if seq is no prefix of a necklace
     frontier = [(identity, (), 1)]
     for m in range(max_len):
+        last = m + 1 == max_len
         nxt = []
         for w, seq, p in frontier:
             # w times letters[back] is the element w was discovered from
@@ -468,19 +480,23 @@ def _side_classes(part: Sequence[Word], max_len: int, cap: int):
             for i, l in enumerate(letters):
                 if i == back:
                     continue
-                prod = multiply(w, l)
-                if prod.letters in seen:
-                    continue
-                seen.add(prod.letters)
-                if len(seen) - 1 > cap:
-                    return None
                 s = seq + (i,)
                 # s is a prefix of a necklace iff i >= s[m - p]; its longest
                 # Lyndon prefix is then p long (i equal) or all of s (greater)
                 q = p and (0 if i < s[m - p] else p if i == s[m - p] else m + 1)
-                if q and (m + 1) % q == 0 and s[0] != i ^ 1:
+                keyed = q and (m + 1) % q == 0 and s[0] != i ^ 1
+                if free and not keyed and (last or not q):
+                    continue
+                prod = multiply(w, l)
+                if not free:
+                    if prod.letters in seen:
+                        continue
+                    seen.add(prod.letters)
+                    if len(seen) - 1 > cap:
+                        return None
+                if keyed:
                     classes.setdefault(cyclic_canonical(prod).letters, prod)
-                if m + 1 < max_len:
+                if not last:
                     nxt.append((prod, s, q))
         frontier = nxt
     return classes
@@ -534,6 +550,23 @@ def cross_conjugacy_scan(
     keeps its first element, as when every element of the ball was keyed:
     the class counts, the status and the witnesses are unchanged.  On a
     free basis each class has exactly one such element.
+
+    A part of k nontrivial words whose subgroup has rank k (its folded
+    graph, Kapovich and Myasnikov, J. Algebra 2002) is a free basis of it:
+    the subgroup is free of rank k and generated by k elements, and free
+    groups are Hopfian.  Then distinct reduced index sequences are distinct
+    nontrivial elements, every sequence is its element's discovering one,
+    and the ball holds exactly sum_{m=1}^{max_len} 2k (2k-1)^(m-1) of them.
+    The scan of such a part decides the budget from that sum, added length
+    by length until it passes element_cap (so a huge max_len costs a few
+    steps), and keeps no set of seen elements.  It builds only the products
+    it keys or expands: a sequence that is no prefix of a necklace has no
+    extension that is one, so it and its whole subtree are never keyed and
+    are skipped, and at the last level only keyed sequences are multiplied.
+    The keyed elements, their order and their ``setdefault`` are those of
+    the full scan, so the report is unchanged.  At max_len 6 on a rank-3
+    basis that is 3,909 products of the ball's 23,436.  Other parts (a
+    trivial word, a repeat, a power) take the full scan above.
     """
     if min(max_len, element_cap) < 1:
         raise ValueError(f"scan needs max_len, element_cap >= 1, got {max_len}, {element_cap}")

@@ -19,7 +19,7 @@ with no special cases, and the rank formula E - V + 1 is unaffected by trees.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .words import Alphabet, AlphabetMismatch, Word, invert, multiply
 
@@ -268,18 +268,6 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
     return SubgroupGraph(alphabet, n, tuple(new_out), tuple(new_inc), tuple(gens))
 
 
-def contains(graph: SubgroupGraph, w: Word) -> bool:
-    return graph.contains(w)
-
-
-def rank(graph: SubgroupGraph) -> int:
-    return graph.rank()
-
-
-def basis_of(graph: SubgroupGraph) -> list[Word]:
-    return graph.basis()
-
-
 def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) -> bool:
     """Whether gens is a basis of the whole ambient free group.
 
@@ -296,14 +284,6 @@ def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) 
         return False
     graph = fold_subgroup(gens, alphabet)
     return all(graph.contains(x) for x in alphabet.generators())
-
-
-def membership_in_free_product_part(
-    part_bases: Iterable[Sequence[Word]], w: Word
-) -> bool:
-    """Whether w lies in the subgroup generated by the listed parts together."""
-    gens = [g for part in part_bases for g in part]
-    return fold_subgroup(gens, w.alphabet).contains(w)
 
 
 def verify_expression(graph: SubgroupGraph, w: Word) -> bool:

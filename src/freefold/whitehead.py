@@ -98,10 +98,6 @@ class Automorphism:
         return f"Automorphism({pairs})"
 
 
-def apply_automorphism(f: Automorphism, w: Word) -> Word:
-    return f.apply(w)
-
-
 def _letter_word(alphabet: Alphabet, code: int) -> Word:
     return Word(alphabet, (code,))
 

@@ -25,7 +25,7 @@ from freefold.chain import (
     verify_relation_chain,
     verify_surface_rewrite,
 )
-from freefold.graphs import fold_subgroup, is_basis_of_ambient, membership_in_free_product_part
+from freefold.graphs import fold_subgroup, is_basis_of_ambient
 from freefold.words import (
     Alphabet,
     AlphabetMismatch,
@@ -198,7 +198,7 @@ def test_flag_negative_control():
     ch = build_chain(4)
     k_part, h_part, _ = flag_parts(ch, 1)
     c4 = ch.h_tuples[4][2]
-    assert not membership_in_free_product_part([k_part, h_part], c4)
+    assert not fold_subgroup(k_part + h_part).contains(c4)
 
 
 def test_flag_out_of_range():
@@ -355,6 +355,30 @@ def test_scan_matches_ball_oracle(monkeypatch):
             # the parts are free bases: one key per class, none for the rest
             # of the 2 x 23,436 elements
             assert len(keyed) == 2 * 3506
+
+
+def test_scan_matches_ball_oracle_at_the_budget_boundary():
+    al = Alphabet.parse("a,b,c")
+    w = al.word
+    # (part1, part2, whether a cap below the closed-form ball exhausts)
+    cases = [
+        # a free basis whose generators are conjugate in F(a,b,c): two classes
+        # of the subgroup share the key of a, and the first in BFS order wins
+        ([w("a"), w("b a b^-1")], [w("c a c^-1"), w("b")], True),
+        # a free basis whose generators cancel against each other
+        ([w("a b"), w("b^-1 c")], [w("b^2"), w("c^2")], True),
+        # not free: its ball is far below the closed form
+        ([w("a"), w("a^2")], [w("c a^2 c^-1")], False),
+    ]
+    for part1, part2, exhausts in cases:
+        for max_len in (3, 5):
+            # nontrivial elements in a ball of radius max_len of a rank-2 basis
+            ball = sum(4 * 3**m for m in range(max_len))
+            for cap in (ball - 1, ball, 10**5):
+                got = cross_conjugacy_scan(part1, part2, max_len, cap)
+                want = naive_cross_conjugacy_scan(part1, part2, max_len, cap)
+                assert _scan_key(got) == _scan_key(want), (part1, part2, max_len, cap)
+                assert (got.status == "budget-exhausted") == (exhausts and cap < ball)
 
 
 def test_separation_parts_shape():

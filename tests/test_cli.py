@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -197,6 +198,17 @@ def test_verify_exhausted_budget_is_undecided(capsys):
                        "--budget", "10", "--max-len", "2", "--flip-convention")
     assert code == 1
     assert "budget-exhausted" in out
+
+
+def test_verify_huge_scan_depth_exhausts_budget_at_once(capsys):
+    # the ball outgrows the budget within a few lengths, so the scan must stop
+    # there and not walk (or count) the other lengths up to --max-len
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--n", "2", "--lemma", "separation",
+                       "--max-len", "1000000000", "--budget", "1000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out.startswith("budget-exhausted")
 
 
 @pytest.mark.parametrize("argv", [

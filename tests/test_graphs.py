@@ -3,12 +3,8 @@ import random
 import pytest
 
 from freefold.graphs import (
-    basis_of,
-    contains,
     fold_subgroup,
     is_basis_of_ambient,
-    membership_in_free_product_part,
-    rank,
     verify_expression,
 )
 from freefold.chain import build_chain, surface_rewrite
@@ -113,15 +109,15 @@ def test_fold_matches_oracle_on_rewrite_bases():
 
 def test_contains_examples():
     g = fold_subgroup(words(AB, "a0^2", "b0"))
-    assert contains(g, AB.word("a0^2"))
-    assert not contains(g, AB.word("a0"))
-    assert contains(g, AB.word("b0 a0^2 b0^-1"))
+    assert g.contains(AB.word("a0^2"))
+    assert not g.contains(AB.word("a0"))
+    assert g.contains(AB.word("b0 a0^2 b0^-1"))
 
 
 def test_contains_alphabet_mismatch():
     g = fold_subgroup(words(AB, "a0"))
     with pytest.raises(AlphabetMismatch):
-        contains(g, ABC.word("a0"))
+        g.contains(ABC.word("a0"))
 
 
 def test_membership_certificates():
@@ -159,24 +155,24 @@ def test_basis_and_express_are_stable_across_calls():
 
 
 def test_rank_examples():
-    assert rank(fold_subgroup(words(AB, "a0", "b0"))) == 2
+    assert fold_subgroup(words(AB, "a0", "b0")).rank() == 2
     g = fold_subgroup(words(AB, "a0^2", "b0", "a0 b0 a0^-1"))
     assert (g.n_vertices, g.n_edges) == (2, 4)
-    assert rank(g) == 3
-    assert rank(fold_subgroup([], AB)) == 0
+    assert g.rank() == 3
+    assert fold_subgroup([], AB).rank() == 0
 
 
 def test_basis_of_examples():
     g = fold_subgroup(words(AB, "a0^2", "b0"))
-    basis = basis_of(g)
+    basis = g.basis()
     assert len(basis) == 2
     assert sorted(str(w) for w in basis) == ["a0^2", "b0"]
-    assert [str(w) for w in basis_of(fold_subgroup(words(AB, "a0", "b0")))] == [
+    assert [str(w) for w in fold_subgroup(words(AB, "a0", "b0")).basis()] == [
         "a0",
         "b0",
     ]
     spur = fold_subgroup(words(AB, "a0 b0 a0^-1"))
-    assert [str(w) for w in basis_of(spur)] == ["a0 b0 a0^-1"]
+    assert [str(w) for w in spur.basis()] == ["a0 b0 a0^-1"]
 
 
 def test_basis_refold_preserves_subgroup():
@@ -185,7 +181,7 @@ def test_basis_refold_preserves_subgroup():
     for _ in range(50):
         gens = [random_word(rng, al, 4, nonempty=True) for _ in range(rng.randint(1, 3))]
         g = fold_subgroup(gens, al)
-        b = basis_of(g)
+        b = g.basis()
         h = fold_subgroup(b, al)
         assert h.rank() == g.rank() == len(b)
         for _ in range(10):
@@ -210,13 +206,10 @@ def test_is_basis_of_ambient_invariance():
 
 
 def test_membership_in_free_product_part_examples():
-    assert membership_in_free_product_part([words(AB, "a0", "b0")], AB.word("a0 b0^-1"))
-    assert membership_in_free_product_part(
-        [words(AB, "a0"), words(AB, "b0")], AB.word("a0 b0 a0")
-    )
-    assert not membership_in_free_product_part(
-        [words(AB, "a0^2"), words(AB, "b0")], AB.word("a0")
-    )
+    # a free product of parts is the subgroup their joined bases generate
+    assert fold_subgroup(words(AB, "a0", "b0")).contains(AB.word("a0 b0^-1"))
+    assert fold_subgroup(words(AB, "a0") + words(AB, "b0")).contains(AB.word("a0 b0 a0"))
+    assert not fold_subgroup(words(AB, "a0^2") + words(AB, "b0")).contains(AB.word("a0"))
 
 
 def test_contains_matches_brute_force_sample():

@@ -7,7 +7,6 @@ from freefold.abelian import exponent_vector
 from freefold.whitehead import (
     Automorphism,
     BudgetExhausted,
-    apply_automorphism,
     extends_to_basis,
     is_primitive,
     minimize_tuple,
@@ -58,7 +57,7 @@ def test_apply_examples():
         [AB.word("a0 b0"), AB.word("b0")],
         [AB.word("a0 b0^-1"), AB.word("b0")],
     )
-    assert apply_automorphism(f, AB.word("a0")) == AB.word("a0 b0")
+    assert f.apply(AB.word("a0")) == AB.word("a0 b0")
     ident = Automorphism.identity(AB)
     rng = random.Random(3)
     for _ in range(50):
