@@ -161,6 +161,18 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
     process" (IJAC 2006): the wedge is folded while it is built, so the cost
     is near-linear in the total number of generator letters.
 
+    Each generator is first read, not built: its longest prefix is followed
+    along edges out of the base, then its longest remaining suffix is
+    followed backwards along edges into the base, stopping before the two
+    reads overlap.  Only the unread middle gets new vertices, as a path
+    between the two vertices reached; a word that reads in full merges
+    those two vertices instead.  Following an edge whose label the next
+    letter spells is exactly the fold the built letter would undergo, so
+    the graph is the fold of the same wedge.  That fold is independent of
+    merge order (Stallings 1983), and the relabeling below does not see
+    vertex ids, so the output is identical to a fold that builds every
+    letter: it only allocates fewer vertices to merge away.
+
     The folded graph needs no trimming.  Every vertex is the image of a
     wedge vertex, which is interior to the loop of a generator w, and the
     image of that loop is a closed base path that spells w.  A path in a
@@ -214,11 +226,34 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
                 maps[b] = {}
 
     for w in gens:
-        prev = 0
-        last = len(w.letters) - 1
-        for i, c in enumerate(w.letters):
-            if i == last:
-                nxt = 0
+        codes = w.letters
+        # read the longest prefix along edges out of the base, then the
+        # longest remaining suffix backwards along edges into the base
+        head, i = 0, 0
+        while i < len(codes):
+            c = codes[i]
+            t = (inc if c & 1 else out)[head].get(c >> 1)
+            if t is None:
+                break
+            head, i = find(t), i + 1
+        tail, j = 0, len(codes)
+        while j > i:
+            c = codes[j - 1]
+            s = (out if c & 1 else inc)[tail].get(c >> 1)
+            if s is None:
+                break
+            tail, j = find(s), j - 1
+        if i == j:
+            pending.append((head, tail))
+            drain()
+            continue
+        # attach the unread middle as a path head -> ... -> tail, folding
+        # each edge as it is added
+        prev = head
+        for k in range(i, j):
+            c = codes[k]
+            if k == j - 1:
+                nxt = tail
             else:
                 nxt = len(parent)
                 parent.append(nxt)
@@ -273,7 +308,32 @@ def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) 
 
     A generating set of size equal to the rank is a basis (free groups are
     Hopfian), so it suffices to count and to check that every alphabet
-    generator lies in <gens>.
+    generator lies in <gens>.  That takes a fold, except for one shape that
+    is decided in linear time: rank - 1 of the words are single letters on
+    distinct generators (either sign), which leaves out one generator x,
+    and the last word w is anything.
+
+    Lemma.  Let Y be the basis letters other than x.  Then Y u {w} is a
+    basis exactly when the reduced w has exactly one letter x^1 or x^-1,
+    that is, when w lies in <Y> x^(+-1) <Y>.
+
+    Proof.  If w = u x^e v with u, v words in Y, then x^e = u^-1 w v^-1 lies
+    in <Y, w>, so the rank-many words generate, and they are a basis.  Let
+    w have k != 1 letters x^(+-1).  If k = 0, <Y, w> = <Y> misses x.  If
+    k >= 2, drop w's longest prefix and suffix in Y, which lie in <Y>:
+    <Y, w> = <Y, x^e m x^f> with x^e m x^f reduced.  Fold the rose on Y at
+    the base with a path spelling x^e m x^f from the base to the base.  The
+    rose takes every Y-slot of the base, and the path's inner vertices are
+    new, where a reduced path folds nothing.  If f = e, the path's two
+    x-edges take two different slots of the base, and the graph is already
+    folded.  If f = -e, the path is an edge x^e from the base to a vertex p
+    and a loop at p spelling m.  The loop folds to the graph of <m> based
+    at p, whose edges at p are the first letters of reduced powers of m
+    (see ``fold_subgroup``; the powers are closed under inversion).  Those
+    are m's first letter and the inverse of its last, and neither is x^-e
+    (x^e m x^-e is reduced), so the loop takes no slot of the edge x^e at
+    p.  In both cases the graph is folded, and x^e leads from the base to
+    another vertex: x does not lie in <Y, w>.
     """
     gens = list(gens)
     if alphabet is None:
@@ -282,6 +342,14 @@ def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) 
         alphabet = gens[0].alphabet
     if len(gens) != alphabet.rank:
         return False
+    for w in gens:
+        if w.alphabet != alphabet:
+            raise AlphabetMismatch("subgroup generators over mixed alphabets")
+    singles = {w.letters[0] >> 1 for w in gens if len(w.letters) == 1}
+    rest = [w for w in gens if len(w.letters) != 1]
+    if len(rest) == 1 and len(singles) == alphabet.rank - 1:
+        (x,) = set(range(alphabet.rank)) - singles
+        return sum(c >> 1 == x for c in rest[0].letters) == 1
     graph = fold_subgroup(gens, alphabet)
     return all(graph.contains(x) for x in alphabet.generators())
 

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded random words, small enumerations, the
-reference fold, the reference least rotation and the reference ball scan."""
+reference fold and basis test, the reference least rotation and the
+reference ball scan."""
 
 from __future__ import annotations
 
@@ -173,6 +174,19 @@ def naive_fold(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Subgro
         out[order[u]][g] = order[v]
         inc[order[v]][g] = order[u]
     return SubgroupGraph(alphabet, n, tuple(out), tuple(inc), tuple(gens))
+
+
+def naive_is_basis(gens: Sequence[Word], alphabet: Alphabet) -> bool:
+    """Count, fold with ``naive_fold``, and require every generator inside.
+
+    Test oracle for ``freefold.graphs.is_basis_of_ambient``, which decides
+    one shape of input without folding.
+    """
+    gens = list(gens)
+    if len(gens) != alphabet.rank:
+        return False
+    graph = naive_fold(gens, alphabet)
+    return all(graph.contains(x) for x in alphabet.generators())
 
 
 def _ball_of_products(part: Sequence[Word], max_len: int, cap: int):

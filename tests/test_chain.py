@@ -26,6 +26,7 @@ from freefold.chain import (
     verify_surface_rewrite,
 )
 from freefold.graphs import fold_subgroup, is_basis_of_ambient
+from freefold.whitehead import Automorphism
 from freefold.words import (
     Alphabet,
     AlphabetMismatch,
@@ -112,6 +113,20 @@ def test_free_factor_chain_corrupt_complement(monkeypatch):
     assert any("complement" in w for w in report.witnesses)
 
 
+def test_free_factor_chain_checks_alphabet_order():
+    ch = build_chain(1)
+
+    def swapped(i, j):
+        names = list(ch.alphabet.names)
+        names[i], names[j] = names[j], names[i]
+        return verify_free_factor_chain(dataclasses.replace(ch, alphabet=Alphabet(names)))
+
+    # t0 and a1 swapped: each stage is still a prefix
+    assert swapped(3, 4).status == "pass"
+    # c0 and t0 swapped: stage 0 is no longer a prefix
+    assert swapped(2, 3).witnesses == ["k=0: stage-k letters are not followed by (t, a, b)"]
+
+
 def test_corrupt_complement_is_not_a_basis():
     ch = build_chain(2)
     comp = complement_basis(ch, 1)
@@ -168,6 +183,15 @@ def test_surface_rewrite_at_depth_48():
     flipped = verify_surface_rewrite(build_chain(48, inverted_stable_letters=True))
     assert flipped.status == "fail"
     assert any("residue" in w for w in flipped.witnesses)
+
+
+def test_all_checks_at_depth_64():
+    reports, _ = run_checks(build_chain(64), "all")
+    assert all(r.status == "pass" for r in reports)
+    flipped, _ = run_checks(build_chain(64, inverted_stable_letters=True), "all")
+    failed = {r.check for r in flipped if r.status != "pass"}
+    assert failed == {"relation_chain", "surface_rewrite"}
+    assert all(r.status in ("pass", "fail") for r in flipped)
 
 
 def test_surface_rewrite_preconditions():
@@ -264,6 +288,14 @@ def test_orbit_distinct_failures():
     assert (fixed.params["p"], fixed.params["q"]) == (0, 1)
     inner = orbit_distinct_check(family, xyz.word("z"), 10)
     assert inner.status == "fail"
+    # x and x^-1 are not conjugate, but their roots agree up to inversion
+    x, y, z = xyz.generators()
+    flip = Automorphism(xyz, [invert(x), y, z], [invert(x), y, z])
+    same = Automorphism.identity(xyz)
+    inverting = orbit_distinct_check(lambda k: flip if k % 2 else same, x, 4)
+    assert inverting.status == "fail"
+    assert (inverting.params["p"], inverting.params["q"]) == (0, 1)
+    assert inverting.witnesses == ["x", "x^-1"]
     with pytest.raises(DegenerateInput):
         orbit_distinct_check(family, xyz.identity(), 3)
 

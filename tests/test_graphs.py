@@ -7,9 +7,15 @@ from freefold.graphs import (
     is_basis_of_ambient,
     verify_expression,
 )
-from freefold.chain import build_chain, surface_rewrite
-from freefold.words import Alphabet, AlphabetMismatch, Word, invert, multiply
-from helpers import naive_fold, random_word
+from freefold.chain import (
+    build_chain,
+    complement_basis,
+    flag_indices,
+    flag_parts,
+    surface_rewrite,
+)
+from freefold.words import Alphabet, AlphabetMismatch, Word, invert, multiply, restrict_word
+from helpers import naive_fold, naive_is_basis, random_word
 
 AB = Alphabet.parse("a0,b0")
 ABC = Alphabet.parse("a0,b0,c0")
@@ -96,6 +102,16 @@ def test_fold_matches_pass_by_pass_oracle():
     assert fold_matches_oracle([AB.identity(), AB.word("a0 a0^-1")], AB)
     assert fold_matches_oracle(words(AB, "a0 b0 a0^-1"), AB)
     assert fold_subgroup(words(AB, "a0 b0 a0^-1")).n_vertices == 2
+    # the second word reads in full and ends away from the base
+    assert fold_matches_oracle(words(AB, "a0 b0", "a0"), AB)
+    # the forward and the backward read meet
+    assert fold_matches_oracle(words(AB, "a0 b0 a0^-1 b0^-1", "a0 b0"), AB)
+    # the read wraps around a cycle
+    assert fold_matches_oracle(words(AB, "a0^3", "a0^2"), AB)
+    assert fold_subgroup(words(AB, "a0^3", "a0^2")).n_vertices == 1
+    # a repeated generator, and a generator next to its inverse
+    assert fold_matches_oracle(words(AB, "a0 b0^2", "a0 b0^2"), AB)
+    assert fold_matches_oracle(words(AB, "a0 b0^2", "b0^-2 a0^-1", "b0"), AB)
 
 
 def test_fold_matches_oracle_on_rewrite_bases():
@@ -193,6 +209,58 @@ def test_is_basis_of_ambient_examples():
     assert is_basis_of_ambient(words(AB, "a0", "b0"))
     assert not is_basis_of_ambient(words(AB, "a0^2", "b0"))
     assert is_basis_of_ambient(words(AB, "a0 b0", "b0"))
+    with pytest.raises(AlphabetMismatch):
+        is_basis_of_ambient([AB.word("a0"), ABC.word("b0")], AB)
+
+
+def _shaped(rng, al, extra):
+    """rank - 1 single letters of either sign on distinct generators, and
+    one word with ``extra`` letters of the generator they leave out."""
+    gens = list(range(al.rank))
+    rng.shuffle(gens)
+    x = gens.pop()
+    singles = [Word(al, (2 * g + rng.randrange(2),)) for g in gens]
+    while True:
+        length = rng.randint(0, 6) if gens else 0
+        codes = [2 * rng.choice(gens) + rng.randrange(2) for _ in range(length)]
+        for _ in range(extra):
+            codes.insert(rng.randint(0, len(codes)), 2 * x + rng.randrange(2))
+        w = Word(al, codes)
+        if sum(c >> 1 == x for c in w.letters) == extra:
+            return singles + [w]
+
+
+def test_is_basis_of_ambient_matches_fold_oracle():
+    rng = random.Random(59)
+    alphabets = [Alphabet([f"x{i}" for i in range(r)]) for r in range(1, 6)]
+    cases = []
+    for trial in range(2000):
+        al = alphabets[trial % 5]
+        kind = trial // 5 % 5
+        gens = _shaped(rng, al, [0, 1, rng.randint(2, 4), 1, 1][kind])
+        if kind == 3 and al.rank > 1:
+            # near miss: a repeated single letter
+            gens[0] = Word(al, (gens[1].letters[0] ^ rng.randrange(2),))
+        elif kind == 4:
+            # near miss: rank - 2 singles plus two words
+            gens[0] = random_word(rng, al, 6)
+        rng.shuffle(gens)
+        cases.append((gens, al))
+    for n in range(2, 9):
+        for inverted in (False, True):
+            ch = build_chain(n, inverted_stable_letters=inverted)
+            for k in range(n):
+                sub = Alphabet(ch.alphabet.names[: 3 * (k + 2)])
+                gens = complement_basis(ch, k) + [ch.t(k), ch.a(k + 1), ch.b(k + 1), ch.c[k + 1]]
+                cases.append(([restrict_word(w, sub) for w in gens], sub))
+            for i in flag_indices(n):
+                cases.append((sum(flag_parts(ch, i), []), ch.alphabet))
+    bases = 0
+    for gens, al in cases:
+        want = naive_is_basis(gens, al)
+        assert is_basis_of_ambient(gens, al) == want, gens
+        bases += want
+    assert 0.2 < bases / len(cases) < 0.8
 
 
 def test_is_basis_of_ambient_invariance():
