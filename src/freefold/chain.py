@@ -174,44 +174,47 @@ def complement_basis(chain: SurfaceChain, j: int) -> list[Word]:
     return words
 
 
-def _sub_alphabet(chain: SurfaceChain, k: int) -> Alphabet:
-    # the alphabet is ordered so that the stage-k letters are a prefix
-    return Alphabet(chain.alphabet.names[: 3 * (k + 1)])
-
-
 def verify_free_factor_chain(chain: SurfaceChain) -> VerificationReport:
     """Each stage is a free factor of the next, with an explicit complement.
 
     The stage-k letters extended by {t_k, a_{k+1}, b_{k+1}} are the stage-(k+1)
     letters, a basis by construction, so the check only asks that the
     alphabet list those three letters, in any order, right after the
-    stage-k letters (``_sub_alphabet`` takes each stage as a prefix).  For
+    stage-k letters: each stage is then a prefix of the alphabet.  For
     0 <= k < n the complement N_k * <t_k> extended by {a_{k+1}, b_{k+1},
-    c_{k+1}} is certified a basis of the stage-(k+1) group with
-    ``is_basis_of_ambient``.
+    c_{k+1}} is certified a basis of the stage-(k+1) group: its words must
+    lie in that prefix, and with the letters after the prefix appended they
+    must be a basis of the whole group (``is_basis_of_ambient``).  The two
+    are equivalent.  The whole group is the free product of the stage group
+    and the free group on the later letters.  A basis of each factor is a
+    basis of the product.  Conversely, the retraction onto the stage group
+    that kills the later letters maps the extended set onto the candidate
+    and 1s, so the candidate generates the stage group; it has the stage's
+    rank, so it is a basis (free groups are Hopfian).  Every word stays over
+    the chain alphabet, so none is re-expressed letter by letter.
     """
     if chain.n < 1:
         raise ValueError("the free-factor chain needs n >= 1")
     started = time.perf_counter()
     witnesses = []
-    names = chain.alphabet.names
+    alphabet = chain.alphabet
+    names = alphabet.names
+    letters = alphabet.generators()
     for k in range(chain.n):
         if set(names[3 * (k + 1): 3 * (k + 2)]) != {f"t{k}", f"a{k + 1}", f"b{k + 1}"}:
             witnesses.append(f"k={k}: stage-k letters are not followed by (t, a, b)")
-        sub = _sub_alphabet(chain, k + 1)
-        comp = [
-            restrict_word(w, sub)
-            for w in complement_basis(chain, k) + [chain.t(k)]
-        ]
-        h_next = [
-            restrict_word(w, sub)
-            for w in (chain.a(k + 1), chain.b(k + 1), chain.c[k + 1])
-        ]
-        if not is_basis_of_ambient(comp + h_next, sub):
+        c_next = chain.c[k + 1]
+        if c_next.alphabet is not alphabet:
+            c_next = restrict_word(c_next, alphabet)
+        stage = 3 * (k + 2)
+        gens = complement_basis(chain, k) + [chain.t(k), chain.a(k + 1), chain.b(k + 1), c_next]
+        if max(max(w.letters, default=0) for w in gens) >= 2 * stage:
+            raise AlphabetMismatch(f"k={k}: a complement word lies outside stage {k + 1}")
+        if not is_basis_of_ambient(gens + letters[stage:], alphabet):
             witnesses.append(f"k={k}: complement basis with (a, b, c) fails")
     expected_rank = 3 * (chain.n + 1)
-    if chain.alphabet.rank != expected_rank:
-        witnesses.append(f"alphabet has rank {chain.alphabet.rank}, expected {expected_rank}")
+    if alphabet.rank != expected_rank:
+        witnesses.append(f"alphabet has rank {alphabet.rank}, expected {expected_rank}")
     return _finish("free_factor_chain", {"n": chain.n}, witnesses, started)
 
 
@@ -550,7 +553,11 @@ def cross_conjugacy_scan(
     Keys go in with ``setdefault`` in breadth-first order, so each class
     keeps its first element, as when every element of the ball was keyed:
     the class counts, the status and the witnesses are unchanged.  On a
-    free basis each class has exactly one such element.
+    free basis the keyed elements are one per conjugacy class of the
+    subgroup, and classes of the subgroup can merge in the ambient group:
+    the basis x1 x0 x1^-1 x0, x1^-1 x0 x1 x0 keys all four of its length-1
+    elements, which fall into 2 classes (8 at max_len 2).  So classes are
+    counted by their keys, never by keyed elements.
 
     A part of k nontrivial words whose subgroup has rank k (its folded
     graph, Kapovich and Myasnikov, J. Algebra 2002) is a free basis of it:

@@ -10,13 +10,22 @@ a tuple of distinct generators.
 
 Signed basis permutations (type I) never change lengths and preserve the
 "distinct generators" target, so the searches only ever apply type-II moves.
+
+Only the cyclic length of the images decides a step (Gersten, "On
+Whitehead's algorithm", Bull. AMS 1984; Roig, Ventura and Weil, IJAC 2007).
+So each candidate move is scored on letter codes: substitute, freely reduce
+with one stack, strip the cyclic cancellation and count.  The descent builds
+the ``Automorphism`` and the canonical forms of the first strictly shortening
+move only, and the level-set sweep canonicalises only candidates at the
+floor.  One generator, ``_type_two_moves``, enumerates the type-II moves
+in one fixed order for the searches and for ``whitehead_generators``; it
+builds each substitution table as it is asked for and keeps none.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .words import (
     Alphabet,
@@ -24,7 +33,6 @@ from .words import (
     DegenerateInput,
     Word,
     cyclic_canonical,
-    multiply,
 )
 
 
@@ -120,35 +128,53 @@ def _type_one(alphabet: Alphabet) -> list[Automorphism]:
 _KEEP, _LEFT, _RIGHT, _CONJ = range(4)
 
 
-def _type_two(alphabet: Alphabet) -> list[Automorphism]:
-    """Type-II Whitehead moves: a multiplier letter m fixes itself and every
-    other generator x goes independently to x, m x, x m^-1 or m x m^-1."""
+def _image_pairs(m: int, x: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(image of x, image of x^-1) under each choice for multiplier m."""
+    forward = ((x,), (m, x), (x, m ^ 1), (m, x, m ^ 1))
+    return [(f, tuple([c ^ 1 for c in f[::-1]])) for f in forward]
+
+
+def _type_two_moves(
+    alphabet: Alphabet,
+) -> Iterator[tuple[int, tuple[int, ...], list[tuple[int, ...]]]]:
+    """Every type-II move as (m, choices, substitution table by letter code).
+
+    A multiplier letter m fixes itself and every other generator x goes
+    independently to x, m x, x m^-1 or m x m^-1.  Moves come multiplier by
+    multiplier, m = 0, 1, ..., 2r - 1, and for each in ``product`` order of
+    those four choices, all-keep left out: 4^(r-1) - 1 moves per
+    multiplier.  Tables are built as they are asked for and share their
+    entries; none is kept.
+    """
     r = alphabet.rank
-    gens = [Word(alphabet, (2 * g,)) for g in range(r)]
-    out = []
-    for m_code in range(2 * r):
-        m_gen = m_code >> 1
-        m = _letter_word(alphabet, m_code)
-        m_inv = _letter_word(alphabet, m_code ^ 1)
-        others = [g for g in range(r) if g != m_gen]
+    letters = [(c,) for c in range(2 * r)]
+    for m in range(2 * r):
+        others = [g for g in range(r) if g != m >> 1]
+        pairs = [_image_pairs(m, 2 * g) for g in others]
         for choice in product((_KEEP, _LEFT, _RIGHT, _CONJ), repeat=len(others)):
-            if all(ch == _KEEP for ch in choice):
+            if not any(choice):  # all keep
                 continue
-            images = list(gens)
-            inverse = list(gens)
-            for g, ch in zip(others, choice):
-                x = gens[g]
-                if ch == _LEFT:
-                    images[g] = multiply(m, x)
-                    inverse[g] = multiply(m_inv, x)
-                elif ch == _RIGHT:
-                    images[g] = multiply(x, m_inv)
-                    inverse[g] = multiply(x, m)
-                elif ch == _CONJ:
-                    images[g] = multiply(multiply(m, x), m_inv)
-                    inverse[g] = multiply(multiply(m_inv, x), m)
-            out.append(Automorphism(alphabet, images, inverse, _trusted=True))
-    return out
+            subst = letters.copy()
+            for g, pair, ch in zip(others, pairs, choice):
+                subst[2 * g], subst[2 * g + 1] = pair[ch]
+            yield m, choice, subst
+
+
+def _move(alphabet: Alphabet, m: int, choice: tuple[int, ...]) -> Automorphism:
+    """The type-II move with multiplier m and these choices; its inverse
+    makes the same choices with m^-1."""
+    images = alphabet.generators()
+    inverse = alphabet.generators()
+    others = [g for g in range(alphabet.rank) if g != m >> 1]
+    for g, ch in zip(others, choice):
+        images[g] = Word(alphabet, _image_pairs(m, 2 * g)[ch][0])
+        inverse[g] = Word(alphabet, _image_pairs(m ^ 1, 2 * g)[ch][0])
+    return Automorphism(alphabet, images, inverse, _trusted=True)
+
+
+def _type_two(alphabet: Alphabet) -> list[Automorphism]:
+    """Type-II Whitehead moves, in ``_type_two_moves`` order."""
+    return [_move(alphabet, m, choice) for m, choice, _ in _type_two_moves(alphabet)]
 
 
 def whitehead_generators(alphabet: Alphabet) -> list[Automorphism]:
@@ -158,13 +184,29 @@ def whitehead_generators(alphabet: Alphabet) -> list[Automorphism]:
     return _type_one(alphabet) + _type_two(alphabet)
 
 
-@lru_cache(maxsize=32)
-def _type_two_cached(alphabet: Alphabet) -> tuple[Automorphism, ...]:
-    return tuple(_type_two(alphabet))
+def _cyclic_length(subst: Sequence[tuple[int, ...]],
+                   entries: Sequence[tuple[int, ...]]) -> int:
+    """Summed cyclic length of the images of ``entries`` (letter codes).
 
-
-def _total(tup: Sequence[Word]) -> int:
-    return sum(len(w) for w in tup)
+    Substitutes, freely reduces with one stack and strips the cyclic
+    cancellation at the ends; no word and no normal form is built.
+    """
+    total = 0
+    for codes in entries:
+        stack: list[int] = []
+        push, pop = stack.append, stack.pop
+        for c in codes:
+            for d in subst[c]:
+                if stack and stack[-1] == d ^ 1:
+                    pop()
+                else:
+                    push(d)
+        lo, hi = 0, len(stack)
+        while hi - lo >= 2 and stack[lo] == stack[hi - 1] ^ 1:
+            lo += 1
+            hi -= 1
+        total += hi - lo
+    return total
 
 
 def minimize_tuple(
@@ -175,6 +217,8 @@ def minimize_tuple(
     Entries are handled as cyclic words; the returned tuple consists of
     canonical conjugacy representatives.  The same move is applied to every
     entry, and moves are taken while the total cyclic length strictly drops.
+    Each candidate move is scored by that length alone, on letter codes;
+    only the first strictly shortening move is built and applied.
     """
     if not t:
         raise DegenerateInput("cannot minimize an empty tuple")
@@ -182,20 +226,23 @@ def minimize_tuple(
     for w in t:
         if w.alphabet != alphabet:
             raise AlphabetMismatch("tuple entries over mixed alphabets")
-    moves = _type_two_cached(alphabet)
     current = [cyclic_canonical(w) for w in t]
+    total = sum(len(w) for w in current)
     seq: list[Automorphism] = []
     examined = 0
     improved = True
     while improved:
         improved = False
-        for f in moves:
-            candidate = [cyclic_canonical(f.apply(w)) for w in current]
+        entries = [w.letters for w in current]
+        for m, choice, subst in _type_two_moves(alphabet):
             examined += 1
             if examined > budget:
                 raise BudgetExhausted(f"minimization exceeded {budget} examined tuples")
-            if _total(candidate) < _total(current):
-                current = candidate
+            length = _cyclic_length(subst, entries)
+            if length < total:
+                f = _move(alphabet, m, choice)
+                current = [cyclic_canonical(f.apply(w)) for w in current]
+                total = length
                 seq.append(f)
                 improved = True
                 break
@@ -232,8 +279,8 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
         if not w:
             raise DegenerateInput("tuple entries must be nontrivial")
     start, _ = minimize_tuple(t, budget)
-    floor = _total(start)
-    moves = _type_two_cached(start[0].alphabet)
+    alphabet = start[0].alphabet
+    floor = sum(len(w) for w in start)
     first = tuple(start)
     if _is_generator_tuple(first):
         return True
@@ -243,14 +290,20 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
     while frontier:
         next_frontier = []
         for tup in frontier:
-            for f in moves:
-                candidate = tuple(cyclic_canonical(f.apply(w)) for w in tup)
+            entries = [w.letters for w in tup]
+            for _, _, subst in _type_two_moves(alphabet):
                 examined += 1
                 if examined > budget:
                     raise BudgetExhausted(
                         f"basis-extension search exceeded {budget} examined tuples"
                     )
-                if _total(candidate) != floor or candidate in visited:
+                if _cyclic_length(subst, entries) != floor:
+                    continue
+                candidate = tuple(
+                    cyclic_canonical(Word(alphabet, [d for c in codes for d in subst[c]]))
+                    for codes in entries
+                )
+                if candidate in visited:
                     continue
                 if _is_generator_tuple(candidate):
                     return True

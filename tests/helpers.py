@@ -1,19 +1,22 @@
 """Shared test utilities: seeded random words, small enumerations, the
-reference fold and basis test, the reference least rotation and the
-reference ball scan."""
+reference fold and basis test, the reference least rotation, the
+reference ball scan and the reference Whitehead descent."""
 
 from __future__ import annotations
 
 import random
 import time
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
 from freefold.chain import BUDGET, DEFAULT_SCAN_CAP, VerificationReport, _finish
 from freefold.graphs import SubgroupGraph
+from freefold.whitehead import Automorphism, BudgetExhausted, DEFAULT_BUDGET
 from freefold.words import (
     Alphabet,
     AlphabetMismatch,
+    DegenerateInput,
     Word,
     cyclic_canonical,
     invert,
@@ -249,3 +252,138 @@ def naive_cross_conjugacy_scan(
         witnesses = [str(sides[0][key]), str(sides[1][key])]
     params = {**params, "classes_1": len(sides[0]), "classes_2": len(sides[1])}
     return _finish("conjugacy_separation", params, witnesses, started)
+
+
+# -- reference Whitehead descent ----------------------------------------------
+
+
+_KEEP, _LEFT, _RIGHT, _CONJ = range(4)
+
+
+def naive_type_two(alphabet: Alphabet) -> list[Automorphism]:
+    """Type-II Whitehead moves: a multiplier letter m fixes itself and every
+    other generator x goes independently to x, m x, x m^-1 or m x m^-1.
+
+    Test oracle for ``freefold.whitehead._move_table``, whose moves must
+    come in this order with these images and inverse images.
+    """
+    r = alphabet.rank
+    gens = [Word(alphabet, (2 * g,)) for g in range(r)]
+    out = []
+    for m_code in range(2 * r):
+        m_gen = m_code >> 1
+        m = Word(alphabet, (m_code,))
+        m_inv = Word(alphabet, (m_code ^ 1,))
+        others = [g for g in range(r) if g != m_gen]
+        for choice in product((_KEEP, _LEFT, _RIGHT, _CONJ), repeat=len(others)):
+            if all(ch == _KEEP for ch in choice):
+                continue
+            images = list(gens)
+            inverse = list(gens)
+            for g, ch in zip(others, choice):
+                x = gens[g]
+                if ch == _LEFT:
+                    images[g] = multiply(m, x)
+                    inverse[g] = multiply(m_inv, x)
+                elif ch == _RIGHT:
+                    images[g] = multiply(x, m_inv)
+                    inverse[g] = multiply(x, m)
+                elif ch == _CONJ:
+                    images[g] = multiply(multiply(m, x), m_inv)
+                    inverse[g] = multiply(multiply(m_inv, x), m)
+            out.append(Automorphism(alphabet, images, inverse, _trusted=True))
+    return out
+
+
+@lru_cache(maxsize=32)
+def _naive_moves(alphabet: Alphabet) -> tuple[Automorphism, ...]:
+    return tuple(naive_type_two(alphabet))
+
+
+def _total(tup: Sequence[Word]) -> int:
+    return sum(len(w) for w in tup)
+
+
+def naive_minimize_tuple(
+    t: Sequence[Word], budget: int = DEFAULT_BUDGET
+) -> tuple[list[Word], list[Automorphism]]:
+    """Apply every candidate move and canonicalise every image.
+
+    Test oracle for ``freefold.whitehead.minimize_tuple``, which scores
+    candidates by cyclic length alone and must return the same tuple, take
+    the same moves and exhaust the same budgets.
+    """
+    if not t:
+        raise DegenerateInput("cannot minimize an empty tuple")
+    alphabet = t[0].alphabet
+    for w in t:
+        if w.alphabet != alphabet:
+            raise AlphabetMismatch("tuple entries over mixed alphabets")
+    moves = _naive_moves(alphabet)
+    current = [cyclic_canonical(w) for w in t]
+    seq: list[Automorphism] = []
+    examined = 0
+    improved = True
+    while improved:
+        improved = False
+        for f in moves:
+            candidate = [cyclic_canonical(f.apply(w)) for w in current]
+            examined += 1
+            if examined > budget:
+                raise BudgetExhausted(f"minimization exceeded {budget} examined tuples")
+            if _total(candidate) < _total(current):
+                current = candidate
+                seq.append(f)
+                improved = True
+                break
+    return current, seq
+
+
+def _is_generator_tuple(tup: Sequence[Word]) -> bool:
+    gens = set()
+    for w in tup:
+        if len(w) != 1:
+            return False
+        gens.add(w.letters[0] >> 1)
+    return len(gens) == len(tup)
+
+
+def naive_extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
+    """Descend with ``naive_minimize_tuple``, then sweep the level set,
+    canonicalising every candidate.
+
+    Test oracle for ``freefold.whitehead.extends_to_basis``, which must give
+    the same answer and exhaust the same budgets.
+    """
+    if not t:
+        raise DegenerateInput("cannot test an empty tuple")
+    for w in t:
+        if not w:
+            raise DegenerateInput("tuple entries must be nontrivial")
+    start, _ = naive_minimize_tuple(t, budget)
+    floor = _total(start)
+    moves = _naive_moves(start[0].alphabet)
+    first = tuple(start)
+    if _is_generator_tuple(first):
+        return True
+    visited = {first}
+    frontier = [first]
+    examined = 0
+    while frontier:
+        next_frontier = []
+        for tup in frontier:
+            for f in moves:
+                candidate = tuple(cyclic_canonical(f.apply(w)) for w in tup)
+                examined += 1
+                if examined > budget:
+                    raise BudgetExhausted(
+                        f"basis-extension search exceeded {budget} examined tuples"
+                    )
+                if _total(candidate) != floor or candidate in visited:
+                    continue
+                if _is_generator_tuple(candidate):
+                    return True
+                visited.add(candidate)
+                next_frontier.append(candidate)
+        frontier = next_frontier
+    return False

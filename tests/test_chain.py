@@ -127,6 +127,15 @@ def test_free_factor_chain_checks_alphabet_order():
     assert swapped(2, 3).witnesses == ["k=0: stage-k letters are not followed by (t, a, b)"]
 
 
+def test_free_factor_chain_rejects_a_word_outside_its_stage():
+    ch = build_chain(3)
+    c = list(ch.c)
+    # t2 is a stage-3 letter, and c1 t2 still has one c0 letter
+    c[1] = multiply(c[1], ch.t(2))
+    with pytest.raises(AlphabetMismatch):
+        verify_free_factor_chain(dataclasses.replace(ch, c=tuple(c)))
+
+
 def test_corrupt_complement_is_not_a_basis():
     ch = build_chain(2)
     comp = complement_basis(ch, 1)
@@ -387,6 +396,30 @@ def test_scan_matches_ball_oracle(monkeypatch):
             # the parts are free bases: one key per class, none for the rest
             # of the 2 x 23,436 elements
             assert len(keyed) == 2 * 3506
+
+
+def test_scan_counts_classes_not_keyed_elements(monkeypatch):
+    keyed = []
+
+    def counted(w):
+        keyed.append(w)
+        return cyclic_canonical(w)
+
+    monkeypatch.setattr(chain_mod, "cyclic_canonical", counted)
+    al = Alphabet.parse("x0,x1")
+    # a free basis whose generators are conjugate in F(x0, x1), and so are
+    # their inverses: four keyed elements of length 1, two classes
+    part = [al.word("x1 x0 x1^-1 x0"), al.word("x1^-1 x0 x1 x0")]
+    assert fold_subgroup(part).rank() == 2
+    for max_len, classes in ((1, 2), (2, 8)):
+        keyed.clear()
+        got = cross_conjugacy_scan(part, [al.word("x1")], max_len)
+        assert _scan_key(got) == _scan_key(
+            naive_cross_conjugacy_scan(part, [al.word("x1")], max_len))
+        assert got.params["classes_1"] == classes
+        if max_len == 1:
+            # and the second part keys x1 and x1^-1
+            assert len(keyed) == 4 + 2
 
 
 def test_scan_matches_ball_oracle_at_the_budget_boundary():

@@ -15,11 +15,17 @@ from freefold.whitehead import (
 from freefold.words import (
     Alphabet,
     DegenerateInput,
+    commutator,
     conjugate,
     invert,
     multiply,
 )
-from helpers import random_word
+from helpers import (
+    naive_extends_to_basis,
+    naive_minimize_tuple,
+    naive_type_two,
+    random_word,
+)
 
 AB = Alphabet.parse("a0,b0")
 ABC = Alphabet.parse("a0,b0,c0")
@@ -35,6 +41,20 @@ def test_generator_counts_rank_two():
     ones, twos = split_by_type(whitehead_generators(AB))
     assert len(twos) == 12
     assert len(ones) == 8
+
+
+def test_type_two_moves_match_oracle_enumeration():
+    for rank in (1, 2, 3, 4):
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        count = 2 * rank * (4 ** (rank - 1) - 1)
+        autos = whitehead_generators(al)
+        ones, twos = autos[: len(autos) - count], autos[len(autos) - count:]
+        assert all(len(w) == 1 for f in ones for w in f.images)
+        want = naive_type_two(al)
+        assert len(want) == count
+        for f, g in zip(twos, want, strict=True):
+            assert f.images == g.images
+            assert f.inverse_images == g.inverse_images
 
 
 def test_generator_counts_rank_one():
@@ -197,3 +217,82 @@ def test_budget_exhaustion_is_reported():
         minimize_tuple([AB.word("a0 b0 a0 b0^-1")], budget=0)
     with pytest.raises(BudgetExhausted):
         extends_to_basis([AB.word("a0 b0 a0 b0^-1 a0^-1 b0")], budget=3)
+
+
+# -- scored descent against the apply-everything oracle -----------------------
+
+
+def _nielsen_image(rng, rank, target):
+    """Images of x0, x0^2 and [x0, x1] under random elementary Nielsen moves."""
+    al = Alphabet([f"x{g}" for g in range(rank)])
+    images = al.generators()
+    for _ in range(rng.randint(1, 8)):
+        i, j = rng.sample(range(rank), 2)
+        m = images[j] if rng.random() < 0.5 else invert(images[j])
+        images[i] = multiply(images[i], m) if rng.random() < 0.5 else multiply(m, images[i])
+    x0, x1 = images[0], images[1]
+    return [[x0], [x0 ** 2], [commutator(x0, x1)]][target]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BudgetExhausted, DegenerateInput) as exc:
+        return type(exc).__name__
+
+
+def _descent_key(result):
+    if isinstance(result, str):
+        return result
+    minimal, moves = result
+    return ([w.letters for w in minimal],
+            [([w.letters for w in f.images], [w.letters for w in f.inverse_images])
+             for f in moves])
+
+
+def test_descent_matches_apply_everything_oracle():
+    rng = random.Random(23)
+    cases = []
+    for _ in range(1100):
+        # the oracle applies each of rank 5's 2,550 moves in full: keep it rare
+        rank = rng.choice((1, 2, 3, 4) * 6 + (5,))
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        cases.append([random_word(rng, al, 12) for _ in range(rng.randint(1, 3))])
+    for trial in range(300):
+        cases.append(_nielsen_image(rng, trial % 3 + 3, trial // 3 % 3))
+    for t in cases:
+        budget = rng.choice((0, 1, 5, 50, 10**6))
+        got = _outcome(minimize_tuple, t, budget)
+        want = _outcome(naive_minimize_tuple, t, budget)
+        assert _descent_key(got) == _descent_key(want), (t, budget)
+        # a rank-5 level set can take more than 10^6 examined tuples
+        budget = min(budget, 2_000)
+        got = _outcome(extends_to_basis, t, budget)
+        assert got == _outcome(naive_extends_to_basis, t, budget), (t, budget)
+
+
+def _least_budget(fn, t):
+    """The least budget at which ``fn(t, budget)`` does not run out."""
+    hi = 1
+    while _outcome(fn, t, hi) == "BudgetExhausted":
+        hi *= 2
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _outcome(fn, t, mid) == "BudgetExhausted":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_budgets_run_out_where_the_oracle_does():
+    rng = random.Random(29)
+    for trial in range(60):
+        t = _nielsen_image(rng, trial % 2 + 2, trial % 3)
+        for fn, oracle in ((minimize_tuple, naive_minimize_tuple),
+                           (extends_to_basis, naive_extends_to_basis)):
+            least = _least_budget(fn, t)
+            assert _outcome(oracle, t, least) != "BudgetExhausted", (t, least)
+            if least:
+                assert _outcome(oracle, t, least - 1) == "BudgetExhausted", (t, least)
