@@ -200,6 +200,8 @@ def verify_free_factor_chain(chain: SurfaceChain) -> VerificationReport:
     alphabet = chain.alphabet
     names = alphabet.names
     letters = alphabet.generators()
+    # N_k is the first 3k + 2 words of N_{n-1}, so it is built once
+    complements = complement_basis(chain, chain.n - 1)
     for k in range(chain.n):
         if set(names[3 * (k + 1): 3 * (k + 2)]) != {f"t{k}", f"a{k + 1}", f"b{k + 1}"}:
             witnesses.append(f"k={k}: stage-k letters are not followed by (t, a, b)")
@@ -207,7 +209,7 @@ def verify_free_factor_chain(chain: SurfaceChain) -> VerificationReport:
         if c_next.alphabet is not alphabet:
             c_next = restrict_word(c_next, alphabet)
         stage = 3 * (k + 2)
-        gens = complement_basis(chain, k) + [chain.t(k), chain.a(k + 1), chain.b(k + 1), c_next]
+        gens = complements[: 3 * k + 2] + [chain.t(k), chain.a(k + 1), chain.b(k + 1), c_next]
         if max(max(w.letters, default=0) for w in gens) >= 2 * stage:
             raise AlphabetMismatch(f"k={k}: a complement word lies outside stage {k + 1}")
         if not is_basis_of_ambient(gens + letters[stage:], alphabet):

@@ -124,9 +124,9 @@ def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
 class Word:
     """A freely reduced word.  Construction always reduces its input.
 
-    The operations below build their results with ``_reduced``, which skips
-    that pass: on reduced operands, cancellation can only happen where two
-    operands meet.
+    The operations below build their results without that pass (through
+    ``_reduced``, or inline in ``multiply``): on reduced operands,
+    cancellation can only happen where two operands meet.
     """
 
     __slots__ = ("alphabet", "letters")
@@ -231,8 +231,15 @@ def reduce(raw: Iterable[Letter], alphabet: Alphabet) -> Word:
 
 
 def multiply(u: Word, v: Word) -> Word:
-    _check_same_alphabet(u, v)
-    return _reduced(u.alphabet, _join(u.letters, v.letters))
+    alphabet = u.alphabet
+    if v.alphabet is not alphabet:
+        _check_same_alphabet(u, v)
+    a, b = u.letters, v.letters
+    w = object.__new__(Word)
+    w.alphabet = alphabet
+    # reduced operands can cancel only at the junction, so join only there
+    w.letters = _join(a, b) if a and b and a[-1] == b[0] ^ 1 else a + b
+    return w
 
 
 def invert(w: Word) -> Word:
@@ -277,21 +284,44 @@ def _cyclic_strip(codes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, .
     return codes[:lo], codes[lo:hi]
 
 
+_FAST_OCCURRENCES = 8  # the slice path takes a least letter up to this often
+
+
 def _least_rotation(codes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Lexicographically least rotation and its smallest offset, in O(L).
 
-    Duval's Lyndon factorization ("Factorizing words over an ordered
-    alphabet", J. Algorithms 1983) run over ``codes + codes``, with the same
-    linear bound as Booth, "Lexicographically least circular substrings"
-    (IPL 1980).  Each outer step starts a block of equal Lyndon factors at
-    ``i``; the least rotation starts at the last block that begins in the
-    first copy, at the first factor of that block, which is the smallest
-    offset when ``codes`` is periodic.
+    Fast path: the least rotation starts with the least letter ``m``, so it
+    starts at an occurrence of ``m``.  When ``m`` occurs at most
+    ``_FAST_OCCURRENCES`` times, the rotations at those occurrences are
+    compared as slices of ``codes + codes``, in offset order and with strict
+    ``<``, so the smallest offset wins when ``codes`` is periodic.  That is
+    a constant number of linear slices and comparisons, each done in C,
+    which short and aperiodic words (the scan's keys) nearly always take.
+
+    Otherwise: Duval's Lyndon factorization ("Factorizing words over an
+    ordered alphabet", J. Algorithms 1983) run over ``codes + codes``, with
+    the same linear bound as Booth, "Lexicographically least circular
+    substrings" (IPL 1980).  Each outer step starts a block of equal Lyndon
+    factors at ``i``; the least rotation starts at the last block that
+    begins in the first copy, at the first factor of that block, which is
+    the smallest offset when ``codes`` is periodic.  Either way the work
+    stays linear in L.
     """
     n = len(codes)
     if n < 2:
         return codes, 0
     s = codes + codes
+    m = min(codes)
+    count = codes.count(m)
+    if count <= _FAST_OCCURRENCES:
+        start = i = codes.index(m)
+        best = s[i : i + n]
+        for _ in range(count - 1):
+            i = codes.index(m, i + 1)
+            rotation = s[i : i + n]
+            if rotation < best:
+                best, start = rotation, i
+        return best, start
     end = 2 * n
     i = start = 0
     while i < n:
@@ -317,8 +347,10 @@ def cyclic_normal_form(w: Word) -> CyclicWord:
 
 def cyclic_canonical(w: Word) -> Word:
     """``cyclic_normal_form(w).canonical`` without building the conjugator."""
-    best, _ = _least_rotation(_cyclic_strip(w.letters)[1])
-    return _reduced(w.alphabet, best)
+    codes = w.letters
+    if codes and codes[0] == codes[-1] ^ 1:
+        codes = _cyclic_strip(codes)[1]
+    return _reduced(w.alphabet, _least_rotation(codes)[0])
 
 
 def is_conjugate(u: Word, v: Word) -> bool:
