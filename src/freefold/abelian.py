@@ -8,6 +8,7 @@ needed here.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import Sequence
 
 from .words import DegenerateInput, Word
@@ -29,9 +30,13 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     Classic pivot reduction: bring the absolutely smallest entry to the
     corner, kill its row and column by division with remainder, make the
     pivot divide the rest of the submatrix, recurse.  Returns min(R, C)
-    nonnegative divisors.
+    nonnegative divisors.  Entries must be integers; anything else, a float
+    included, raises ``ValueError`` rather than being truncated.
     """
-    m = [list(map(int, r)) for r in rows]
+    try:
+        m = [[index(x) for x in r] for r in rows]
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be integers: {exc}") from None
     if not m or not m[0]:
         raise DegenerateInput("smith normal form of an empty matrix")
     if any(len(r) != len(m[0]) for r in m):
@@ -101,8 +106,6 @@ def is_basis_extendable_abelian(vectors: Sequence[Sequence[int]]) -> bool:
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         raise DegenerateInput("no vectors given")
-    if len(vecs) > len(vecs[0]):
-        return False
     divisors = smith_normal_form(vecs)
     nonzero = [d for d in divisors if d]
     return len(nonzero) == len(vecs) and all(d == 1 for d in nonzero)

@@ -224,11 +224,6 @@ def verify_free_factor_chain(chain: SurfaceChain) -> VerificationReport:
 class SurfaceRewrite:
     """Change of basis exhibiting one glued surface plus free stable letters."""
 
-    a_prime: dict[int, Word]
-    b_prime: dict[int, Word]
-    a_dblprime: dict[int, Word]
-    b_dblprime: dict[int, Word]
-    d_n_prime: Word
     new_basis: list[Word]
     identity_residue: Word
     dblprime_residue: Word
@@ -283,8 +278,7 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
         else:
             new_basis += [a_p[j], b_p[j]]
     new_basis.append(d_np)
-    return SurfaceRewrite(a_p, b_p, a_pp, b_pp, d_np, new_basis,
-                          multiply(c0_inv, rhs), multiply(c0_inv, rhs_pp))
+    return SurfaceRewrite(new_basis, multiply(c0_inv, rhs), multiply(c0_inv, rhs_pp))
 
 
 def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:

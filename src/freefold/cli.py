@@ -29,8 +29,6 @@ from .graphs import fold_subgroup
 from .whitehead import DEFAULT_BUDGET, BudgetExhausted, is_primitive
 from .words import (
     Alphabet,
-    AlphabetMismatch,
-    DegenerateInput,
     Word,
     WordSyntaxError,
     conjugate,
@@ -41,7 +39,7 @@ from .words import (
 LEMMAS = (*CHECKS, "all")
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -131,22 +129,19 @@ def _cmd_eq(args) -> int:
     alphabet = _alphabet(args.alphabet)
     words = [_word(w, alphabet) for w in args.words]
     relation = args.relation
-    try:
-        if relation == "e0":
-            if len(words) != 2:
-                raise _UsageError("e0 takes 2 words: x y")
-            result = e0(*words)
-        elif relation in ("e1", "e2"):
-            if len(words) != 4:
-                raise _UsageError(f"{relation} takes 4 words: x y x' y'")
-            fn = e1 if relation == "e1" else e2
-            result = fn(args.m, *words)
-        else:
-            if len(words) != 6:
-                raise _UsageError("e3 takes 6 words: x y z x' y' z'")
-            result = e3(args.p, args.q, *words)
-    except (DegenerateInput, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
+    if relation == "e0":
+        if len(words) != 2:
+            raise _UsageError("e0 takes 2 words: x y")
+        result = e0(*words)
+    elif relation in ("e1", "e2"):
+        if len(words) != 4:
+            raise _UsageError(f"{relation} takes 4 words: x y x' y'")
+        fn = e1 if relation == "e1" else e2
+        result = fn(args.m, *words)
+    else:
+        if len(words) != 6:
+            raise _UsageError("e3 takes 6 words: x y z x' y' z'")
+        result = e3(args.p, args.q, *words)
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -247,10 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (WordSyntaxError, AlphabetMismatch, DegenerateInput, ValueError) as exc:
+    except ValueError as exc:  # usage and input errors, the library's included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhausted as exc:

@@ -24,6 +24,7 @@ run in the determinized machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .words import (
     AlphabetMismatch,
@@ -37,6 +38,23 @@ from .words import (
 )
 
 
+def _eps_reach(n_states: int, eps: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """For each state, the states its epsilon paths reach, itself included."""
+    succ: list[list[int]] = [[] for _ in range(n_states)]
+    for p, q in eps:
+        succ[p].append(q)
+    reach: list[set[int]] = []
+    for p in range(n_states):
+        seen, stack = {p}, [p]
+        while stack:
+            for r in succ[stack.pop()]:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        reach.append(seen)
+    return reach
+
+
 @dataclass
 class CosetAutomaton:
     """Saturated recognizer for the reduced words of <u> z_mid <v>."""
@@ -46,33 +64,26 @@ class CosetAutomaton:
     accepting: int
     letter_edges: frozenset[tuple[int, int, int]]  # (state, letter code, state)
     eps: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    _start: set[int] = field(init=False, repr=False, compare=False)
+    _step: dict[tuple[int, int], set[int]] = field(init=False, repr=False, compare=False)
 
-    def _closure(self, states: set[int]) -> frozenset[int]:
-        out = set(states)
-        queue = list(states)
-        succ: dict[int, list[int]] = {}
-        for p, q in self.eps:
-            succ.setdefault(p, []).append(q)
-        while queue:
-            p = queue.pop()
-            for q in succ.get(p, ()):
-                if q not in out:
-                    out.add(q)
-                    queue.append(q)
-        return frozenset(out)
+    def __post_init__(self):
+        # built once: a letter steps straight to the epsilon closure of its targets
+        reach = _eps_reach(self.n_states, self.eps)
+        self._start = reach[self.initial]
+        self._step = {}
+        for p, x, q in self.letter_edges:
+            self._step.setdefault((p, x), set()).update(reach[q])
 
     def accepts(self, w: Word) -> bool:
-        step: dict[tuple[int, int], set[int]] = {}
-        for p, x, q in self.letter_edges:
-            step.setdefault((p, x), set()).add(q)
-        current = self._closure({self.initial})
+        current = self._start
         for c in w.letters:
             nxt: set[int] = set()
             for p in current:
-                nxt |= step.get((p, c), set())
+                nxt.update(self._step.get((p, c), ()))
             if not nxt:
                 return False
-            current = self._closure(nxt)
+            current = nxt
         return self.accepting in current
 
 
@@ -117,21 +128,7 @@ def build_coset_automaton(u: Word, z_mid: Word, v: Word) -> CosetAutomaton:
     for p, x, q in edges:
         by_label.setdefault(x, []).append((p, q))
     while True:
-        succ: list[set[int]] = [set() for _ in range(free)]
-        for p, q in eps:
-            succ[p].add(q)
-        reach: list[set[int]] = []
-        for p in range(free):
-            seen = set(succ[p])
-            seen.add(p)
-            stack = list(succ[p])
-            while stack:
-                q = stack.pop()
-                for r in succ[q]:
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-            reach.append(seen)
+        reach = _eps_reach(free, eps)
         added = False
         for x, forward in by_label.items():
             backward = by_label.get(x ^ 1, ())
@@ -167,16 +164,17 @@ def double_coset_member_bounded(u: Word, z_mid: Word, v: Word, z: Word,
 # -- the basic equivalence relations ---------------------------------------
 
 
-def _power_exponent(w: Word, r: Word) -> int | None:
-    """j with w = r^j (r not a proper power), or None; j = 0 for trivial w."""
-    if not w:
-        return 0
-    rw, k = root(w)
-    if rw == r:
-        return k
-    if rw == invert(r):
-        return -k
-    return None
+def _cyclic_coset(relation: str, m: int, x: Word, x2: Word, t: Word) -> bool:
+    """Whether C(x) = C(x2) and t is a power of root(x) with exponent in mZ."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if not x or not x2:
+        raise DegenerateInput(f"{relation} requires nontrivial centralizer anchors")
+    if t.alphabet != x.alphabet:
+        raise AlphabetMismatch("y over a different alphabet from x")
+    if not centralizer_equal(x, x2):
+        return False
+    return not t or (centralizer_equal(x, t) and root(t)[1] % m == 0)
 
 
 def e0(x: Word, y: Word) -> bool:
@@ -190,26 +188,12 @@ def e1(m: int, x: Word, y: Word, x2: Word, y2: Word) -> bool:
     t may be trivial or a negative power, so the witness exponent ranges
     over all multiples of m including 0.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if not x or not x2:
-        raise DegenerateInput("E1 requires nontrivial centralizer anchors")
-    if not centralizer_equal(x, x2):
-        return False
-    j = _power_exponent(multiply(invert(y), y2), root(x)[0])
-    return j is not None and j % m == 0
+    return _cyclic_coset("E1", m, x, x2, multiply(invert(y), y2))
 
 
 def e2(m: int, x: Word, y: Word, x2: Word, y2: Word) -> bool:
     """Same centralizer for x, x2 and y2 = t^m * y for some t in C(x)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if not x or not x2:
-        raise DegenerateInput("E2 requires nontrivial centralizer anchors")
-    if not centralizer_equal(x, x2):
-        return False
-    j = _power_exponent(multiply(y2, invert(y)), root(x)[0])
-    return j is not None and j % m == 0
+    return _cyclic_coset("E2", m, x, x2, multiply(y2, invert(y)))
 
 
 def e3(p: int, q: int, x: Word, y: Word, z: Word,
@@ -220,6 +204,8 @@ def e3(p: int, q: int, x: Word, y: Word, z: Word,
         raise ValueError("p and q must be positive integers")
     if not x or not x2 or not y or not y2:
         raise DegenerateInput("E3 requires nontrivial centralizer anchors")
+    if any(w.alphabet != x.alphabet for w in (y, z, x2, y2, z2)):
+        raise AlphabetMismatch("E3 words over mixed alphabets")
     if not centralizer_equal(x, x2) or not centralizer_equal(y, y2):
         return False
     return double_coset_member(root(x)[0] ** p, z2, root(y)[0] ** q, z)

@@ -43,6 +43,22 @@ class BudgetExhausted(RuntimeError):
 DEFAULT_BUDGET = 10**6
 
 
+def _table(alphabet: Alphabet, images: Sequence[Word]) -> tuple[tuple[int, ...], ...]:
+    """Substitution table by letter code: image of generator g at 2g, its
+    inverse at 2g + 1."""
+    table: list[tuple[int, ...]] = []
+    for img in images:
+        if img.alphabet != alphabet:
+            raise AlphabetMismatch("image over a different alphabet")
+        table += (img.letters, tuple(c ^ 1 for c in reversed(img.letters)))
+    return tuple(table)
+
+
+def _substitute(table: Sequence[tuple[int, ...]], codes: Sequence[int]) -> list[int]:
+    """The letter codes of the image of ``codes``, not yet reduced."""
+    return [d for c in codes for d in table[c]]
+
+
 class Automorphism:
     """A basis-image map with a recorded inverse; invertible by construction."""
 
@@ -55,35 +71,19 @@ class Automorphism:
         self.inverse_images = tuple(inverse_images)
         if len(self.images) != alphabet.rank or len(self.inverse_images) != alphabet.rank:
             raise ValueError("one image per generator is required")
-        # substitution table indexed by letter code
-        subst: list[tuple[int, ...]] = []
-        for img in self.images:
-            subst.append(img.letters)
-            subst.append(tuple(c ^ 1 for c in reversed(img.letters)))
-        self._subst = tuple(subst)
-        if not _trusted:
-            self._verify()
-
-    def _verify(self) -> None:
-        inv = Automorphism.__new__(Automorphism)
-        inv.alphabet = self.alphabet
-        inv.images = self.inverse_images
-        subst = []
-        for img in inv.images:
-            subst.append(img.letters)
-            subst.append(tuple(c ^ 1 for c in reversed(img.letters)))
-        inv._subst = tuple(subst)
-        for g, x in enumerate(self.alphabet.generators()):
-            if inv.apply(self.apply(x)) != x or self.apply(inv.apply(x)) != x:
-                raise ValueError(f"recorded inverse fails on generator {self.alphabet.names[g]}")
+        self._subst = _table(alphabet, self.images)
+        inverse = _table(alphabet, self.inverse_images)
+        if _trusted:
+            return
+        for g, name in enumerate(alphabet.names):
+            for there, back in ((self._subst, inverse), (inverse, self._subst)):
+                if Word(alphabet, _substitute(back, there[2 * g])).letters != (2 * g,):
+                    raise ValueError(f"recorded inverse fails on generator {name}")
 
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word alphabet differs from automorphism alphabet")
-        codes: list[int] = []
-        for c in w.letters:
-            codes.extend(self._subst[c])
-        return Word(self.alphabet, codes)
+        return Word(self.alphabet, _substitute(self._subst, w.letters))
 
     def inverse(self) -> "Automorphism":
         return Automorphism(self.alphabet, self.inverse_images, self.images, _trusted=True)
@@ -93,12 +93,6 @@ class Automorphism:
         gens = alphabet.generators()
         return Automorphism(alphabet, gens, gens, _trusted=True)
 
-    @staticmethod
-    def from_images(alphabet: Alphabet, images: Sequence[Word],
-                    inverse_images: Sequence[Word]) -> "Automorphism":
-        """Construct with full verification of the recorded inverse."""
-        return Automorphism(alphabet, images, inverse_images)
-
     def __repr__(self) -> str:
         pairs = ", ".join(
             f"{n}->{img}" for n, img in zip(self.alphabet.names, self.images)
@@ -106,21 +100,15 @@ class Automorphism:
         return f"Automorphism({pairs})"
 
 
-def _letter_word(alphabet: Alphabet, code: int) -> Word:
-    return Word(alphabet, (code,))
-
-
 def _type_one(alphabet: Alphabet) -> list[Automorphism]:
     r = alphabet.rank
     out = []
     for perm in permutations(range(r)):
         for signs in product((0, 1), repeat=r):
-            images = [
-                _letter_word(alphabet, 2 * perm[g] + signs[g]) for g in range(r)
-            ]
+            images = [Word(alphabet, (2 * perm[g] + signs[g],)) for g in range(r)]
             inverse = [alphabet.identity()] * r
             for g in range(r):
-                inverse[perm[g]] = _letter_word(alphabet, 2 * g + signs[g])
+                inverse[perm[g]] = Word(alphabet, (2 * g + signs[g],))
             out.append(Automorphism(alphabet, images, inverse, _trusted=True))
     return out
 
@@ -172,16 +160,14 @@ def _move(alphabet: Alphabet, m: int, choice: tuple[int, ...]) -> Automorphism:
     return Automorphism(alphabet, images, inverse, _trusted=True)
 
 
-def _type_two(alphabet: Alphabet) -> list[Automorphism]:
-    """Type-II Whitehead moves, in ``_type_two_moves`` order."""
-    return [_move(alphabet, m, choice) for m, choice, _ in _type_two_moves(alphabet)]
-
-
 def whitehead_generators(alphabet: Alphabet) -> list[Automorphism]:
-    """All type-I (signed basis permutations) and type-II Whitehead moves."""
+    """All type-I (signed basis permutations) and type-II Whitehead moves,
+    the type-II moves in ``_type_two_moves`` order."""
     if alphabet.rank < 1:
         raise ValueError("rank must be at least 1")
-    return _type_one(alphabet) + _type_two(alphabet)
+    return _type_one(alphabet) + [
+        _move(alphabet, m, choice) for m, choice, _ in _type_two_moves(alphabet)
+    ]
 
 
 def _cyclic_length(subst: Sequence[tuple[int, ...]],
@@ -300,7 +286,7 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
                 if _cyclic_length(subst, entries) != floor:
                     continue
                 candidate = tuple(
-                    cyclic_canonical(Word(alphabet, [d for c in codes for d in subst[c]]))
+                    cyclic_canonical(Word(alphabet, _substitute(subst, codes)))
                     for codes in entries
                 )
                 if candidate in visited:

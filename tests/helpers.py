@@ -264,7 +264,7 @@ def naive_type_two(alphabet: Alphabet) -> list[Automorphism]:
     """Type-II Whitehead moves: a multiplier letter m fixes itself and every
     other generator x goes independently to x, m x, x m^-1 or m x m^-1.
 
-    Test oracle for ``freefold.whitehead._move_table``, whose moves must
+    Test oracle for ``freefold.whitehead._type_two_moves``, whose moves must
     come in this order with these images and inverse images.
     """
     r = alphabet.rank

@@ -54,6 +54,14 @@ def test_smith_normal_form_rejects_bad_shapes():
         smith_normal_form([[1, 2], [3]])
 
 
+def test_non_integer_entries_are_rejected_not_truncated():
+    for rows in ([[2.5, 0], [0, 1]], [[1.9, 0]], [[1, "2"]], [[1, 2], [3, None]]):
+        with pytest.raises(ValueError):
+            smith_normal_form(rows)
+        with pytest.raises(ValueError):
+            is_basis_extendable_abelian(rows)
+
+
 def unimodular_scramble(rng, m):
     m = [row[:] for row in m]
     nr, nc = len(m), len(m[0])

@@ -107,6 +107,16 @@ def test_eq_arity_error(capsys):
     assert code == 2 and "takes 2 words" in err
 
 
+def test_eq_library_input_errors_exit_2_with_its_message(capsys):
+    code, _, err = run(capsys, "eq", "e1", "--alphabet", "a,b", "--m", "0",
+                       "a", "b", "a", "b")
+    assert (code, err.strip()) == (2, "error: m must be a positive integer")
+    code, _, err = run(capsys, "eq", "e3", "--alphabet", "a,b",
+                       "1", "b", "a", "a", "b", "a")
+    assert (code, err.strip()) == (
+        2, "error: E3 requires nontrivial centralizer anchors")
+
+
 def test_gn_build(capsys):
     code, out, _ = run(capsys, "gn", "build", "--n", "1")
     assert code == 0

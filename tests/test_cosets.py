@@ -13,6 +13,7 @@ from freefold.cosets import (
 )
 from freefold.words import (
     Alphabet,
+    AlphabetMismatch,
     DegenerateInput,
     conjugate,
     invert,
@@ -66,6 +67,21 @@ def test_e1_e2_preconditions():
         e1(0, AB.word("a"), AB.word("b"), AB.word("a"), AB.word("b"))
     with pytest.raises(DegenerateInput):
         e2(1, AB.identity(), AB.word("b"), AB.word("a"), AB.word("b"))
+
+
+def test_relations_reject_words_over_another_alphabet():
+    a, b, r = AB.word("a"), AB.word("b"), RS.word("r")
+    # the second call of each pair has C(a) != C(b), which would answer
+    # False without reading the foreign word
+    for fn in (e1, e2):
+        with pytest.raises(AlphabetMismatch):
+            fn(1, a, r, a, r)
+        with pytest.raises(AlphabetMismatch):
+            fn(1, a, r, b, r)
+    with pytest.raises(AlphabetMismatch):
+        e3(1, 1, a, b, r, a, b, r)
+    with pytest.raises(AlphabetMismatch):
+        e3(1, 1, a, b, r, b, b, r)
 
 
 def test_e1_negative_exponents_and_identity_witness():

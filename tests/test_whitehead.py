@@ -14,6 +14,7 @@ from freefold.whitehead import (
 )
 from freefold.words import (
     Alphabet,
+    AlphabetMismatch,
     DegenerateInput,
     commutator,
     conjugate,
@@ -72,7 +73,7 @@ def test_recorded_inverses_hold():
 
 
 def test_apply_examples():
-    f = Automorphism.from_images(
+    f = Automorphism(
         AB,
         [AB.word("a0 b0"), AB.word("b0")],
         [AB.word("a0 b0^-1"), AB.word("b0")],
@@ -96,13 +97,28 @@ def test_apply_is_homomorphic():
         assert f.apply(invert(u)) == invert(f.apply(u))
 
 
-def test_from_images_rejects_wrong_inverse():
+def test_constructor_rejects_wrong_inverse():
     with pytest.raises(ValueError):
-        Automorphism.from_images(
+        Automorphism(
             AB,
             [AB.word("a0 b0"), AB.word("b0")],
             [AB.word("a0"), AB.word("b0")],
         )
+
+
+def test_constructor_rejects_images_over_another_alphabet():
+    xyz = Alphabet.parse("x,y,z")
+    gens = AB.generators()
+    # a letter beyond the alphabet's rank, and a map that would print a0->x
+    # but return words over AB
+    for images, inverse in (
+        ([xyz.word("z"), AB.word("b0")], gens),
+        (xyz.generators()[:2], gens),
+        (gens, [AB.word("a0"), xyz.word("y")]),
+    ):
+        for trusted in (False, True):
+            with pytest.raises(AlphabetMismatch):
+                Automorphism(AB, images, inverse, _trusted=trusted)
 
 
 # -- minimization ------------------------------------------------------------
