@@ -7,7 +7,6 @@ needed here.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import index
 from typing import Sequence
 
@@ -109,11 +108,3 @@ def is_basis_extendable_abelian(vectors: Sequence[Sequence[int]]) -> bool:
     divisors = smith_normal_form(vecs)
     nonzero = [d for d in divisors if d]
     return len(nonzero) == len(vecs) and all(d == 1 for d in nonzero)
-
-
-def content(vector: Sequence[int]) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in vector:
-        g = gcd(g, x)
-    return g

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .abelian import exponent_vector, is_basis_extendable_abelian
@@ -103,20 +104,34 @@ class SurfaceChain:
     c: tuple[Word, ...]
     d: tuple[Word, ...]
     s: tuple[Word, ...]
-    h_tuples: tuple[tuple[Word, Word, Word], ...]
     inverted_stable_letters: bool = False
 
+    @cached_property
+    def generators(self) -> list[Word]:
+        return self.alphabet.generators()
+
+    @cached_property
+    def h_tuples(self) -> tuple[tuple[Word, Word, Word], ...]:
+        """The basis (a_i, b_i, c_i) of each surface piece H_i."""
+        return tuple((self.a(i), self.b(i), c_i) for i, c_i in enumerate(self.c))
+
+    def _letter(self, i: int, position: int) -> Word:
+        if i < 0 or position >= len(self.generators):
+            raise AlphabetMismatch(f"index {i} is outside the depth-{self.n} chain")
+        return self.generators[position]
+
     def a(self, i: int) -> Word:
-        return self.alphabet.gen(f"a{i}")
+        return self._letter(i, 3 * i + 1)
 
     def b(self, i: int) -> Word:
-        return self.alphabet.gen(f"b{i}")
+        return self._letter(i, 3 * i + 2)
 
     def t(self, i: int) -> Word:
-        return self.alphabet.gen(f"t{i}")
+        return self._letter(i, 3 * i + 3)
 
 
 def chain_alphabet(n: int) -> Alphabet:
+    """The letter layout: c0 at 0, then t_{i-1}, a_i, b_i at 3i, 3i + 1, 3i + 2."""
     names = ["c0", "a0", "b0"]
     for i in range(1, n + 1):
         names += [f"t{i - 1}", f"a{i}", f"b{i}"]
@@ -127,25 +142,27 @@ def build_chain(n: int, inverted_stable_letters: bool = False) -> SurfaceChain:
     if n < 0:
         raise ValueError("n must be nonnegative")
     alphabet = chain_alphabet(n)
-    c = [alphabet.gen("c0")]
+    letters = alphabet.generators()
+    c = [letters[0]]
     d: list[Word] = []
-    for i in range(n + 1):
-        a_i, b_i = alphabet.gen(f"a{i}"), alphabet.gen(f"b{i}")
-        d.append(multiply(invert(c[i]), invert(commutator(a_i, b_i))))
-        if i < n:
-            t_i = alphabet.gen(f"t{i}")
-            twist = invert(t_i) if inverted_stable_letters else t_i
-            c.append(conjugate(d[i], twist))
     s: list[Word] = []
     acc = alphabet.identity()
-    for i in range(n):
-        acc = multiply(acc, alphabet.gen(f"t{i}"))
-        s.append(invert(acc))
-    h = tuple(
-        (alphabet.gen(f"a{i}"), alphabet.gen(f"b{i}"), c[i]) for i in range(n + 1)
-    )
-    return SurfaceChain(n, alphabet, tuple(c), tuple(d), tuple(s), h,
-                        inverted_stable_letters)
+    for i in range(n + 1):
+        a_i, b_i = letters[3 * i + 1], letters[3 * i + 2]
+        d.append(multiply(invert(c[i]), invert(commutator(a_i, b_i))))
+        if i < n:
+            t_i = letters[3 * i + 3]
+            twist = invert(t_i) if inverted_stable_letters else t_i
+            c.append(conjugate(d[i], twist))
+            acc = multiply(acc, t_i)
+            s.append(invert(acc))
+    return SurfaceChain(n, alphabet, tuple(c), tuple(d), tuple(s), inverted_stable_letters)
+
+
+def _require(lemma: str, n: int) -> None:
+    reason = CHECKS[lemma].skip(n)
+    if reason is not None:
+        raise ValueError(reason)
 
 
 def verify_relation_chain(chain: SurfaceChain) -> VerificationReport:
@@ -167,11 +184,8 @@ def verify_relation_chain(chain: SurfaceChain) -> VerificationReport:
 
 def complement_basis(chain: SurfaceChain, j: int) -> list[Word]:
     """Basis of the explicit complement N_j of <d_j>:
-    N_0 = <a0, b0>, N_j = N_{j-1} * <t_{j-1}> * <a_j, b_j>."""
-    words = [chain.a(0), chain.b(0)]
-    for l in range(1, j + 1):
-        words += [chain.t(l - 1), chain.a(l), chain.b(l)]
-    return words
+    N_0 = <a0, b0>, N_j = N_{j-1} * <t_{j-1}> * <a_j, b_j>: positions 1 ... 3j + 2."""
+    return chain.generators[1: 3 * j + 3]
 
 
 def verify_free_factor_chain(chain: SurfaceChain) -> VerificationReport:
@@ -190,33 +204,30 @@ def verify_free_factor_chain(chain: SurfaceChain) -> VerificationReport:
     basis of the product.  Conversely, the retraction onto the stage group
     that kills the later letters maps the extended set onto the candidate
     and 1s, so the candidate generates the stage group; it has the stage's
-    rank, so it is a basis (free groups are Hopfian).  Every word stays over
-    the chain alphabet, so none is re-expressed letter by letter.
+    rank, so it is a basis (free groups are Hopfian).  Only a c-word over
+    another alphabet object than the chain's is re-expressed, by name.
     """
-    if chain.n < 1:
-        raise ValueError("the free-factor chain needs n >= 1")
+    _require("freefactor", chain.n)
     started = time.perf_counter()
     witnesses = []
     alphabet = chain.alphabet
-    names = alphabet.names
-    letters = alphabet.generators()
+    layout = chain_alphabet(chain.n).names
     # N_k is the first 3k + 2 words of N_{n-1}, so it is built once
     complements = complement_basis(chain, chain.n - 1)
     for k in range(chain.n):
-        if set(names[3 * (k + 1): 3 * (k + 2)]) != {f"t{k}", f"a{k + 1}", f"b{k + 1}"}:
+        stage = 3 * (k + 2)
+        if set(alphabet.names[stage - 3: stage]) != set(layout[stage - 3: stage]):
             witnesses.append(f"k={k}: stage-k letters are not followed by (t, a, b)")
         c_next = chain.c[k + 1]
         if c_next.alphabet is not alphabet:
             c_next = restrict_word(c_next, alphabet)
-        stage = 3 * (k + 2)
-        gens = complements[: 3 * k + 2] + [chain.t(k), chain.a(k + 1), chain.b(k + 1), c_next]
+        gens = complements[: 3 * k + 2] + chain.generators[stage - 3: stage] + [c_next]
         if max(max(w.letters, default=0) for w in gens) >= 2 * stage:
             raise AlphabetMismatch(f"k={k}: a complement word lies outside stage {k + 1}")
-        if not is_basis_of_ambient(gens + letters[stage:], alphabet):
+        if not is_basis_of_ambient(gens + chain.generators[stage:], alphabet):
             witnesses.append(f"k={k}: complement basis with (a, b, c) fails")
-    expected_rank = 3 * (chain.n + 1)
-    if alphabet.rank != expected_rank:
-        witnesses.append(f"alphabet has rank {alphabet.rank}, expected {expected_rank}")
+    if alphabet.rank != len(layout):
+        witnesses.append(f"alphabet has rank {alphabet.rank}, expected {len(layout)}")
     return _finish("free_factor_chain", {"n": chain.n}, witnesses, started)
 
 
@@ -246,8 +257,7 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
     through the double-primed handles of the new basis.
     """
     n = chain.n
-    if n < 2 or n % 2:
-        raise ValueError("the surface rewrite needs even n >= 2")
+    _require("surface", n)
     a_p: dict[int, Word] = {}
     b_p: dict[int, Word] = {}
     for i in range(1, n + 1):
@@ -315,17 +325,11 @@ def flag_indices(n: int) -> range:
 
 
 def flag_parts(chain: SurfaceChain, i: int) -> tuple[list[Word], list[Word], list[Word]]:
-    """The three free factors K, H, L of the stage-2i flag decomposition."""
-    n = chain.n
-    if i not in flag_indices(n):
-        raise ValueError(f"flag index i={i} out of range for n={n}")
-    k_part = complement_basis(chain, 2 * i - 1) + [chain.t(2 * i - 1)]
-    h_part = [chain.a(2 * i), chain.b(2 * i), chain.c[2 * i]]
-    l_part = [chain.t(2 * i)]
-    for j in range(2 * i + 1, n + 1):
-        l_part += [chain.a(j), chain.b(j)]
-    l_part += [chain.t(j) for j in range(2 * i + 1, n)]
-    return k_part, h_part, l_part
+    """The free factors K, H, L at stage 2i: letters 1..6i; 6i+1, 6i+2, c_2i; 6i+3 on."""
+    if i not in flag_indices(chain.n):
+        raise ValueError(f"flag index i={i} out of range for n={chain.n}")
+    g = chain.generators
+    return g[1: 6 * i + 1], g[6 * i + 1: 6 * i + 3] + [chain.c[2 * i]], g[6 * i + 3:]
 
 
 def explicit_flag_decomposition(chain: SurfaceChain, i: int) -> VerificationReport:
@@ -361,8 +365,7 @@ def verify_not_decomposable(chain: SurfaceChain) -> VerificationReport:
     vector of d_n is (-1)^(n+1) times that of c_0 and the pair is never
     lattice-basis extendable.
     """
-    if chain.n < 1:
-        raise ValueError("the obstruction check needs n >= 1")
+    _require("abelian", chain.n)
     started = time.perf_counter()
     witnesses = []
     vec_c0 = exponent_vector(chain.c[0])
@@ -395,15 +398,14 @@ def dehn_twist_family(
     ):
         raise ValueError("h_part, k_part and hnn_letters must partition the alphabet")
     if c.alphabet != alphabet:
-        raise ValueError("twisting word over the wrong alphabet")
+        raise AlphabetMismatch("twisting word over the wrong alphabet")
     h_indices = {alphabet.index(x) for x in h_set}
     if any((code >> 1) not in h_indices for code in c.letters):
         raise ValueError("the twisting word must lie in the fixed part")
     cn = c ** n
     cn_inv = invert(cn)
     images, inverse = [], []
-    for name in alphabet.names:
-        x = alphabet.gen(name)
+    for name, x in zip(alphabet.names, alphabet.generators()):
         if name in h_set:
             images.append(x)
             inverse.append(x)
@@ -613,8 +615,7 @@ def documented_orbit_instances() -> list[tuple[str, Callable[[int], Automorphism
 
 def separation_parts(chain: SurfaceChain) -> tuple[list[Word], list[Word]]:
     """The stage-0 and stage-2 surface-piece bases inside a chain with n >= 2."""
-    if chain.n < 2:
-        raise ValueError("separation needs n >= 2")
+    _require("separation", chain.n)
     return list(chain.h_tuples[0]), list(chain.h_tuples[2])
 
 
@@ -672,11 +673,9 @@ def run_checks(
     needs its index i.  max_len and element_cap bound the separation scan.
     """
     if lemma != "all":
-        reason = CHECKS[lemma].skip(chain.n)
-        if reason is None and lemma == "flag" and i is None:
-            reason = "the flag check needs an index --i"
-        if reason is not None:
-            raise ValueError(reason)
+        _require(lemma, chain.n)
+        if lemma == "flag" and i is None:
+            raise ValueError("the flag check needs an index --i")
         return CHECKS[lemma].run(chain, i, max_len, element_cap), []
     reports: list[VerificationReport] = []
     notes: list[str] = []

@@ -147,8 +147,6 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_gn(args) -> int:
-    if args.action != "build":
-        raise _UsageError(f"unknown gn action {args.action!r}")
     chain = build_chain(args.n)
     if args.format == "json":
         payload = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .words import Alphabet, AlphabetMismatch, Word, invert, multiply
+from .words import Alphabet, AlphabetMismatch, Word, _inverse, invert, multiply
 
 
 class SubgroupGraph:
@@ -105,7 +105,7 @@ class SubgroupGraph:
         paths, edges, _ = self._nontree_edges()
         out = []
         for u, g, v in edges:
-            codes = paths[u] + (2 * g,) + tuple(c ^ 1 for c in reversed(paths[v]))
+            codes = paths[u] + (2 * g,) + _inverse(paths[v])
             out.append(Word(self.alphabet, codes))
         return out
 

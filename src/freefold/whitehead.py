@@ -32,6 +32,7 @@ from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
+    _inverse,
     cyclic_canonical,
 )
 
@@ -50,7 +51,7 @@ def _table(alphabet: Alphabet, images: Sequence[Word]) -> tuple[tuple[int, ...],
     for img in images:
         if img.alphabet != alphabet:
             raise AlphabetMismatch("image over a different alphabet")
-        table += (img.letters, tuple(c ^ 1 for c in reversed(img.letters)))
+        table += (img.letters, _inverse(img.letters))
     return tuple(table)
 
 
@@ -119,7 +120,7 @@ _KEEP, _LEFT, _RIGHT, _CONJ = range(4)
 def _image_pairs(m: int, x: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(image of x, image of x^-1) under each choice for multiplier m."""
     forward = ((x,), (m, x), (x, m ^ 1), (m, x, m ^ 1))
-    return [(f, tuple([c ^ 1 for c in f[::-1]])) for f in forward]
+    return [(f, _inverse(f)) for f in forward]
 
 
 def _type_two_moves(

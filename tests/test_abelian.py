@@ -3,7 +3,6 @@ import random
 import pytest
 
 from freefold.abelian import (
-    content,
     exponent_vector,
     is_basis_extendable_abelian,
     smith_normal_form,
@@ -134,8 +133,3 @@ def test_whitehead_extension_implies_abelian_extension():
             tup = [f.apply(w) for w in tup]
         if extends_to_basis(tup):
             assert is_basis_extendable_abelian([exponent_vector(w) for w in tup])
-
-
-def test_content_helper():
-    assert content((0, 0)) == 0
-    assert content((4, -6)) == 2

@@ -15,6 +15,7 @@ from freefold.chain import (
     dehn_twist_family,
     documented_orbit_instances,
     explicit_flag_decomposition,
+    flag_indices,
     flag_parts,
     orbit_distinct_check,
     run_checks,
@@ -63,6 +64,49 @@ def test_build_invariants():
             assert invert(ch.s[i]) == prod
         assert len(ch.h_tuples) == n + 1
         assert ch.h_tuples[n] == (ch.a(n), ch.b(n), ch.c[n])
+
+
+def test_letters_sit_where_chain_alphabet_names_them():
+    for n in range(9):
+        ch = build_chain(n)
+        gen = ch.alphabet.gen
+        for i in range(n + 1):
+            assert (str(ch.a(i)), str(ch.b(i))) == (f"a{i}", f"b{i}")
+        for i in range(n):
+            assert str(ch.t(i)) == f"t{i}"
+        for bad in (lambda: ch.a(n + 1), lambda: ch.b(-1), lambda: ch.t(n), lambda: ch.t(-1)):
+            with pytest.raises(AlphabetMismatch):
+                bad()
+        # the complements and flag parts as they were built by name
+        named = [[gen("a0"), gen("b0")]]
+        for j in range(1, n + 1):
+            named.append(named[-1] + [gen(f"t{j - 1}"), gen(f"a{j}"), gen(f"b{j}")])
+        for j in range(n + 1):
+            assert complement_basis(ch, j) == named[j]
+        for i in flag_indices(n):
+            k_named = named[2 * i - 1] + [gen(f"t{2 * i - 1}")]
+            h_named = [gen(f"a{2 * i}"), gen(f"b{2 * i}"), ch.c[2 * i]]
+            l_named = [gen(f"t{2 * i}")]
+            for j in range(2 * i + 1, n + 1):
+                l_named += [gen(f"a{j}"), gen(f"b{j}")]
+            l_named += [gen(f"t{j}") for j in range(2 * i + 1, n)]
+            for part, want in zip(flag_parts(ch, i), (k_named, h_named, l_named)):
+                assert len(part) == len(want) and set(part) == set(want)
+
+
+def test_pieces_are_read_off_c_not_a_stale_copy():
+    ch = build_chain(6)
+    c = list(ch.c)
+    # t5 lies in L, so c2 t5 escapes K u H at i = 2
+    c[2] = multiply(c[2], ch.t(5))
+    mutated = dataclasses.replace(ch, c=tuple(c))
+    k_part, h_part, _ = flag_parts(mutated, 2)
+    assert not fold_subgroup(k_part + h_part).contains(mutated.c[2])
+    report = explicit_flag_decomposition(mutated, 2)
+    assert report.status == "fail"
+    assert any("stage-2 entry" in w for w in report.witnesses)
+    assert separation_parts(mutated)[1][2] == mutated.c[2]
+    assert mutated.h_tuples[2] == (ch.a(2), ch.b(2), mutated.c[2])
 
 
 def test_relation_chain_passes_through_n6():
@@ -282,6 +326,8 @@ def test_dehn_twist_preconditions():
         dehn_twist_family(xyz, ["x"], ["z"], [], xyz.gen("x"), 1)
     with pytest.raises(ValueError):
         dehn_twist_family(xyz, ["x", "y"], ["z"], [], xyz.gen("z"), 1)
+    with pytest.raises(AlphabetMismatch):
+        dehn_twist_family(xyz, ["x", "y"], ["z"], [], Alphabet.parse("x,y,t").gen("x"), 1)
 
 
 def test_orbit_distinct_documented_instances():
