@@ -39,15 +39,11 @@ from .words import (
 LEMMAS = (*CHECKS, "all")
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _alphabet(text: str) -> Alphabet:
     try:
         return Alphabet.parse(text)
     except ValueError as exc:
-        raise _UsageError(f"bad alphabet: {exc}") from exc
+        raise ValueError(f"bad alphabet: {exc}") from exc
 
 
 def _positive(text: str) -> int:
@@ -61,7 +57,7 @@ def _word(text: str, alphabet: Alphabet) -> Word:
     try:
         return parse_word(text, alphabet)
     except WordSyntaxError as exc:
-        raise _UsageError(f"bad word {text!r}: {exc}") from exc
+        raise ValueError(f"bad word {text!r}: {exc}") from exc
 
 
 def _emit_reports(reports: list[VerificationReport], notes: list[str],
@@ -131,16 +127,16 @@ def _cmd_eq(args) -> int:
     relation = args.relation
     if relation == "e0":
         if len(words) != 2:
-            raise _UsageError("e0 takes 2 words: x y")
+            raise ValueError("e0 takes 2 words: x y")
         result = e0(*words)
     elif relation in ("e1", "e2"):
         if len(words) != 4:
-            raise _UsageError(f"{relation} takes 4 words: x y x' y'")
+            raise ValueError(f"{relation} takes 4 words: x y x' y'")
         fn = e1 if relation == "e1" else e2
         result = fn(args.m, *words)
     else:
         if len(words) != 6:
-            raise _UsageError("e3 takes 6 words: x y z x' y' z'")
+            raise ValueError("e3 takes 6 words: x y z x' y' z'")
         result = e3(args.p, args.q, *words)
     print("true" if result else "false")
     return 0 if result else 1

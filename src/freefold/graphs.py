@@ -46,9 +46,9 @@ class SubgroupGraph:
     def rank(self) -> int:
         return self.n_edges - self.n_vertices + 1
 
-    def walk(self, w: Word, start: int = 0) -> int | None:
-        """Endpoint of the path spelling w from ``start``, or None if it dies."""
-        v = start
+    def walk(self, w: Word) -> int | None:
+        """Endpoint of the path spelling w from the base, or None if it dies."""
+        v = self.base
         for c in w.letters:
             g = c >> 1
             v = self.inc[v].get(g) if c & 1 else self.out[v].get(g)
@@ -308,48 +308,18 @@ def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) 
 
     A generating set of size equal to the rank is a basis (free groups are
     Hopfian), so it suffices to count and to check that every alphabet
-    generator lies in <gens>.  That takes a fold, except for one shape that
-    is decided in linear time: rank - 1 of the words are single letters on
-    distinct generators (either sign), which leaves out one generator x,
-    and the last word w is anything.
-
-    Lemma.  Let Y be the basis letters other than x.  Then Y u {w} is a
-    basis exactly when the reduced w has exactly one letter x^1 or x^-1,
-    that is, when w lies in <Y> x^(+-1) <Y>.
-
-    Proof.  If w = u x^e v with u, v words in Y, then x^e = u^-1 w v^-1 lies
-    in <Y, w>, so the rank-many words generate, and they are a basis.  Let
-    w have k != 1 letters x^(+-1).  If k = 0, <Y, w> = <Y> misses x.  If
-    k >= 2, drop w's longest prefix and suffix in Y, which lie in <Y>:
-    <Y, w> = <Y, x^e m x^f> with x^e m x^f reduced.  Fold the rose on Y at
-    the base with a path spelling x^e m x^f from the base to the base.  The
-    rose takes every Y-slot of the base, and the path's inner vertices are
-    new, where a reduced path folds nothing.  If f = e, the path's two
-    x-edges take two different slots of the base, and the graph is already
-    folded.  If f = -e, the path is an edge x^e from the base to a vertex p
-    and a loop at p spelling m.  The loop folds to the graph of <m> based
-    at p, whose edges at p are the first letters of reduced powers of m
-    (see ``fold_subgroup``; the powers are closed under inversion).  Those
-    are m's first letter and the inverse of its last, and neither is x^-e
-    (x^e m x^-e is reduced), so the loop takes no slot of the edge x^e at
-    p.  In both cases the graph is folded, and x^e leads from the base to
-    another vertex: x does not lie in <Y, w>.
+    generator lies in <gens>.
     """
     gens = list(gens)
     if alphabet is None:
         if not gens:
             raise ValueError("an alphabet is required for an empty candidate basis")
         alphabet = gens[0].alphabet
-    if len(gens) != alphabet.rank:
-        return False
     for w in gens:
         if w.alphabet != alphabet:
             raise AlphabetMismatch("subgroup generators over mixed alphabets")
-    singles = {w.letters[0] >> 1 for w in gens if len(w.letters) == 1}
-    rest = [w for w in gens if len(w.letters) != 1]
-    if len(rest) == 1 and len(singles) == alphabet.rank - 1:
-        (x,) = set(range(alphabet.rank)) - singles
-        return sum(c >> 1 == x for c in rest[0].letters) == 1
+    if len(gens) != alphabet.rank:
+        return False
     graph = fold_subgroup(gens, alphabet)
     return all(graph.contains(x) for x in alphabet.generators())
 

@@ -182,8 +182,9 @@ def naive_fold(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Subgro
 def naive_is_basis(gens: Sequence[Word], alphabet: Alphabet) -> bool:
     """Count, fold with ``naive_fold``, and require every generator inside.
 
-    Test oracle for ``freefold.graphs.is_basis_of_ambient``, which decides
-    one shape of input without folding.
+    Test oracle for ``freefold.graphs.is_basis_of_ambient``, which folds
+    with the worklist fold, and for ``freefold.chain._c0_once``, which
+    decides the chain's candidate bases by counting c0 letters.
     """
     gens = list(gens)
     if len(gens) != alphabet.rank:

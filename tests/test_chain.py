@@ -9,7 +9,9 @@ from freefold.abelian import exponent_vector, is_basis_extendable_abelian
 from freefold.chain import (
     CHECKS,
     VerificationReport,
+    _c0_once,
     build_chain,
+    chain_alphabet,
     complement_basis,
     cross_conjugacy_scan,
     dehn_twist_family,
@@ -39,7 +41,7 @@ from freefold.words import (
     invert,
     multiply,
 )
-from helpers import naive_cross_conjugacy_scan
+from helpers import naive_cross_conjugacy_scan, naive_is_basis
 
 
 def test_build_examples():
@@ -180,6 +182,30 @@ def test_free_factor_chain_rejects_a_word_outside_its_stage():
         verify_free_factor_chain(dataclasses.replace(ch, c=tuple(c)))
 
 
+def test_free_factor_chain_fails_on_a_second_c0_letter():
+    ch = build_chain(2)
+    c = list(ch.c)
+    c[1] = multiply(c[1], ch.c[0])
+    report = verify_free_factor_chain(dataclasses.replace(ch, c=tuple(c)))
+    assert report.witnesses == ["k=0: complement basis with (a, b, c) fails"]
+
+
+def test_c0_once_matches_fold_oracle():
+    rng = random.Random(67)
+    al = chain_alphabet(2)
+    others = al.generators()[1:]
+    verdicts = set()
+    for _ in range(300):
+        codes = [rng.randrange(2, 2 * al.rank) for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(0, 3)):
+            codes.insert(rng.randint(0, len(codes)), rng.randrange(2))
+        w = Word(al, codes)
+        want = naive_is_basis(others + [w], al)
+        assert _c0_once(w) == want, w
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_corrupt_complement_is_not_a_basis():
     ch = build_chain(2)
     comp = complement_basis(ch, 1)
@@ -268,6 +294,14 @@ def test_flag_decomposition_all_small_cases():
         for i in range(1, n):
             if 2 * i + 2 <= n:
                 assert explicit_flag_decomposition(ch, i).passed
+
+
+def test_flag_decomposition_fails_on_a_second_c0_letter():
+    ch = build_chain(4)
+    c = list(ch.c)
+    c[2] = multiply(c[2], ch.c[0])
+    report = explicit_flag_decomposition(dataclasses.replace(ch, c=tuple(c)), 1)
+    assert report.witnesses[0] == "K u H u L is not a basis of the ambient group"
 
 
 def test_flag_negative_control():

@@ -211,6 +211,11 @@ def test_is_basis_of_ambient_examples():
     assert is_basis_of_ambient(words(AB, "a0 b0", "b0"))
     with pytest.raises(AlphabetMismatch):
         is_basis_of_ambient([AB.word("a0"), ABC.word("b0")], AB)
+    # a mixed alphabet is an error even when the count is wrong
+    with pytest.raises(AlphabetMismatch):
+        is_basis_of_ambient([AB.word("a0"), ABC.word("b0"), ABC.word("c0")], AB)
+    with pytest.raises(AlphabetMismatch):
+        is_basis_of_ambient([ABC.word("a0")], AB)
 
 
 def _shaped(rng, al, extra):
