@@ -184,7 +184,8 @@ def naive_is_basis(gens: Sequence[Word], alphabet: Alphabet) -> bool:
 
     Test oracle for ``freefold.graphs.is_basis_of_ambient``, which folds
     with the worklist fold, and for ``freefold.chain._c0_once``, which
-    decides the chain's candidate bases by counting c0 letters.
+    decides the chain's candidate bases, the surface rewrite basis among
+    them, by counting c0 letters.
     """
     gens = list(gens)
     if len(gens) != alphabet.rank:

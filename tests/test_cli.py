@@ -124,6 +124,11 @@ def test_gn_build(capsys):
     code, out, _ = run(capsys, "gn", "build", "--n", "1", "--format", "json")
     payload = json.loads(out)
     assert payload["c"][1] == "t0^-1 c0^-1 b0 a0 b0^-1 a0^-1 t0"
+    code, out, _ = run(capsys, "gn", "build", "--n", "2")
+    assert code == 0
+    assert "s0 = t0^-1\ns1 = t1^-1 t0^-1\n" in out
+    code, out, _ = run(capsys, "gn", "build", "--n", "2", "--format", "json")
+    assert json.loads(out)["s"] == ["t0^-1", "t1^-1 t0^-1"]
 
 
 def test_verify_single_lemma_json_schema_and_roundtrip(capsys):
