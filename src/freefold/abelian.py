@@ -1,12 +1,16 @@
-"""Abelianized invariants: exponent vectors and Smith normal form over Z.
+"""Abelianized invariants: exponent vectors, Smith normal form over Z, and
+the abelian obstruction to extending a tuple to a basis.
 
-All arithmetic is exact (Python bignums), so entries cannot overflow.  Only
-the elementary divisors are computed; the unimodular factors are never
-needed here.
+All arithmetic is exact (Python bignums), so entries cannot overflow.
+``smith_normal_form`` computes only the elementary divisors; the
+unimodular factors are never needed here.  The extendability test needs
+less still: whether the maximal minors are coprime, which column
+reduction answers with one extended gcd per pair of columns.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import index
 from typing import Sequence
 
@@ -98,13 +102,57 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 def is_basis_extendable_abelian(vectors: Sequence[Sequence[int]]) -> bool:
-    """Whether the rows extend to a basis of the integer lattice.
+    """Whether the k rows extend to a basis of the integer lattice Z^n.
 
-    True iff the matrix has full row rank and every elementary divisor is 1.
+    They do exactly when k <= n and the k x k minors have gcd 1.  Multiplying
+    the matrix M on the right by a unimodular U keeps that gcd, since by
+    Cauchy-Binet each minor of MU is an integer combination of minors of M
+    and back through U^-1.  For i = 0, 1, ... the columns i, j > i are
+    combined pairwise by the unimodular 2 x 2 step (x, -b/g; y, a/g), with
+    a = M[i][i], b = M[i][j], g = gcd(a, b) and x a + y b = g, which turns
+    row i's pair (a, b) into (g, 0) and leaves the earlier rows alone (they
+    are zero from column i on).  Row i ends as (..., g_i, 0, ..., 0), with
+    g_i the gcd of its entries from column i on before the steps, so MU is
+    a lower-triangular k x k block of determinant g_0 ... g_{k-1} followed
+    by zero columns, and that determinant is its only nonzero maximal minor.
+    So the rows extend iff every g_i is 1, and the first g_i != 1 answers
+    False without reducing further.
+
+    The minor criterion itself: if every g_i is 1, stacking [0 | I] under MU
+    gives a unimodular matrix, and times U^-1 it extends M.  If M is the top
+    of a unimodular N, expanding det N = +-1 along those k rows (Laplace)
+    writes 1 as an integer combination of their k x k minors.
+
+    Entries must be integers; anything else raises ``ValueError``, as does a
+    ragged matrix, and an empty one raises ``DegenerateInput``.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         raise DegenerateInput("no vectors given")
-    divisors = smith_normal_form(vecs)
-    nonzero = [d for d in divisors if d]
-    return len(nonzero) == len(vecs) and all(d == 1 for d in nonzero)
+    try:
+        m = [[index(x) for x in r] for r in vecs]
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be integers: {exc}") from None
+    if not m[0]:
+        raise DegenerateInput("extendability of an empty matrix")
+    if any(len(r) != len(m[0]) for r in m):
+        raise ValueError("matrix is not rectangular")
+    k, n = len(m), len(m[0])
+    if k > n:
+        return False
+    for i in range(k):
+        row = m[i]
+        if gcd(*row[i:]) != 1:
+            return False
+        for j in range(i + 1, n):
+            a, b = row[i], row[j]
+            if not b:
+                continue
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            x = pow(a, -1, abs(b))
+            y = (1 - x * a) // b
+            for r in m[i:]:
+                ri, rj = r[i], r[j]
+                r[i], r[j] = x * ri + y * rj, a * rj - b * ri
+    return True

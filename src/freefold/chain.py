@@ -272,6 +272,24 @@ class SurfaceRewrite:
     identity_residue: Word
 
 
+def _primed(chain: SurfaceChain) -> tuple[list[tuple[Word, Word]], Word, Word]:
+    """The handles (a'_i, b'_i) for 1 <= i <= n, d'_n, and the identity
+    residue of ``surface_rewrite``, which reads it off these alone."""
+    n = chain.n
+    handles = [(conjugate(chain.a(i), chain.s[i - 1]), conjugate(chain.b(i), chain.s[i - 1]))
+               for i in range(1, n + 1)]
+    d_np = conjugate(chain.d[n], chain.s[n - 1])
+
+    # handles[i - 1] is stage i's: the even stages ascend, the odd ones descend
+    rhs = commutator(chain.b(0), chain.a(0))
+    for a_p, b_p in handles[1::2]:
+        rhs = multiply(rhs, commutator(b_p, a_p))
+    rhs = multiply(rhs, invert(d_np))
+    for a_p, b_p in handles[-2::-2]:
+        rhs = multiply(rhs, commutator(a_p, b_p))
+    return handles, d_np, multiply(invert(chain.c[0]), rhs)
+
+
 def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
     """Rewrite the depth-n chain (n even) as one surface relator.
 
@@ -289,26 +307,14 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
     c0^-1 [b0,a0] ... [b'_n,a'_n] [a''_{n-1},b''_{n-1}] ... [a''_1,b''_1] d'^-1
     off the new basis.
     """
-    n = chain.n
-    _require("surface", n)
-    handles = [(conjugate(chain.a(i), chain.s[i - 1]), conjugate(chain.b(i), chain.s[i - 1]))
-               for i in range(1, n + 1)]
-    d_np = conjugate(chain.d[n], chain.s[n - 1])
-
-    # handles[i - 1] is stage i's: the even stages ascend, the odd ones descend
-    rhs = commutator(chain.b(0), chain.a(0))
-    for a_p, b_p in handles[1::2]:
-        rhs = multiply(rhs, commutator(b_p, a_p))
-    rhs = multiply(rhs, invert(d_np))
-    for a_p, b_p in handles[-2::-2]:
-        rhs = multiply(rhs, commutator(a_p, b_p))
-
+    _require("surface", chain.n)
+    handles, d_np, residue = _primed(chain)
     new_basis = [chain.a(0), chain.b(0)]
     for j, pair in enumerate(handles, 1):
         new_basis.append(chain.t(j - 1))
         new_basis += [conjugate(w, d_np) for w in pair] if j % 2 else pair
     new_basis.append(d_np)
-    return SurfaceRewrite(new_basis, multiply(invert(chain.c[0]), rhs))
+    return SurfaceRewrite(new_basis, residue)
 
 
 def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
@@ -337,12 +343,13 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
         witnesses.append(f"primed residue: {rw.identity_residue}")
     if not _c0_once(rw.new_basis[-1]):
         witnesses.append("rewritten generating set is not a basis")
+    # the flipped convention's residue, without building its basis
     flipped = build_chain(n, inverted_stable_letters=not chain.inverted_stable_letters)
-    other = surface_rewrite(flipped)
-    if bool(rw.identity_residue) == bool(other.identity_residue):
+    other = _primed(flipped)[2]
+    if bool(rw.identity_residue) == bool(other):
         witnesses.append(
             "conventions are not separated: flipped-residue "
-            f"{'empty' if not other.identity_residue else str(other.identity_residue)}"
+            f"{'empty' if not other else str(other)}"
         )
     params = {
         "n": n,

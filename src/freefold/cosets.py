@@ -17,20 +17,29 @@ purpose: collapsing the pair of states into one would also create the
 reverse shortcut, which in general is witnessed by no path and grows the
 language (with u = "a", z' = "a" it would accept all of <a, v>).
 
-Acceptance runs the subset simulation, so a reduced input has exactly one
-run in the determinized machine.
+The shortcuts are the least fixpoint of that rule, computed by a worklist.
+The letter edges are indexed once, by (source, letter) and by target.
+Each state's epsilon closure is kept closed as shortcuts are added, and
+each pair (q, r) with r in the closure of q is examined once, when r joins
+it: only the edges into q and out of r are read then.  A rule that fires
+later would need a pair that joined later, so nothing is missed, and the
+shortcut set is the same as that of repeating full rounds until none adds
+anything.
+
+Acceptance runs the subset simulation over the same index and closures, a
+letter stepping straight to the closures of its targets, so a reduced input
+has exactly one run in the determinized machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
-    centralizer_equal,
+    _same_root,
     invert,
     is_conjugate,
     multiply,
@@ -38,49 +47,33 @@ from .words import (
 )
 
 
-def _eps_reach(n_states: int, eps: Iterable[tuple[int, int]]) -> list[set[int]]:
-    """For each state, the states its epsilon paths reach, itself included."""
-    succ: list[list[int]] = [[] for _ in range(n_states)]
-    for p, q in eps:
-        succ[p].append(q)
-    reach: list[set[int]] = []
-    for p in range(n_states):
-        seen, stack = {p}, [p]
-        while stack:
-            for r in succ[stack.pop()]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        reach.append(seen)
-    return reach
-
-
 @dataclass
 class CosetAutomaton:
-    """Saturated recognizer for the reduced words of <u> z_mid <v>."""
+    """Saturated recognizer for the reduced words of <u> z_mid <v>.
+
+    ``build_coset_automaton`` hands over its saturation's letter-edge index
+    and epsilon closures: ``_out[p][x]`` lists the targets of p's x-edges
+    and ``_reach[q]`` is q's closure, so a letter steps from p straight to
+    the closures of its targets.  ``double_coset_member`` reads one word
+    per automaton, so no step table is built ahead of it.
+    """
 
     n_states: int
     initial: int
     accepting: int
     letter_edges: frozenset[tuple[int, int, int]]  # (state, letter code, state)
-    eps: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    _start: set[int] = field(init=False, repr=False, compare=False)
-    _step: dict[tuple[int, int], set[int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # built once: a letter steps straight to the epsilon closure of its targets
-        reach = _eps_reach(self.n_states, self.eps)
-        self._start = reach[self.initial]
-        self._step = {}
-        for p, x, q in self.letter_edges:
-            self._step.setdefault((p, x), set()).update(reach[q])
+    eps: frozenset[tuple[int, int]]
+    _out: list[dict[int, list[int]]] = field(repr=False, compare=False)
+    _reach: list[set[int]] = field(repr=False, compare=False)
 
     def accepts(self, w: Word) -> bool:
-        current = self._start
+        out, reach = self._out, self._reach
+        current = reach[self.initial]
         for c in w.letters:
             nxt: set[int] = set()
             for p in current:
-                nxt.update(self._step.get((p, c), ()))
+                for q in out[p].get(c, ()):
+                    nxt |= reach[q]
             if not nxt:
                 return False
             current = nxt
@@ -122,25 +115,42 @@ def build_coset_automaton(u: Word, z_mid: Word, v: Word) -> CosetAutomaton:
     else:
         eps.add((initial, accepting))
 
-    # saturate: close epsilons transitively, then add a shortcut p ~~> s for
-    # every configuration p --x--> q ~~> r --x^-1--> s
-    by_label: dict[int, list[tuple[int, int]]] = {}
+    # index the letter edges once: out[p][x] lists the targets of p's
+    # x-edges, into[q] the pairs (p, x^-1) of the edges p --x--> q
+    out: list[dict[int, list[int]]] = [{} for _ in range(free)]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(free)]
     for p, x, q in edges:
-        by_label.setdefault(x, []).append((p, q))
-    while True:
-        reach = _eps_reach(free, eps)
-        added = False
-        for x, forward in by_label.items():
-            backward = by_label.get(x ^ 1, ())
-            for p, q in forward:
-                for r, s in backward:
-                    if r in reach[q] and p != s and (p, s) not in eps:
-                        eps.add((p, s))
-                        added = True
-        if not added:
-            break
+        out[p].setdefault(x, []).append(q)
+        into[q].append((p, x ^ 1))
 
-    return CosetAutomaton(free, initial, accepting, frozenset(edges), frozenset(eps))
+    # reach[q] is q's epsilon closure and back[r] the states whose closure
+    # holds r; each pair (q, r) with r in reach[q] is queued once, when r
+    # joins reach[q], and then adds the shortcut p ~~> s of every
+    # configuration p --x--> q ~~> r --x^-1--> s
+    reach: list[set[int]] = [{q} for q in range(free)]
+    back: list[set[int]] = [{q} for q in range(free)]
+    queue: list[tuple[int, int]] = [(q, q) for q in range(free)]
+
+    def link(p: int, s: int) -> None:
+        eps.add((p, s))
+        for o in list(back[p]):
+            for r in reach[s] - reach[o]:
+                reach[o].add(r)
+                back[r].add(o)
+                queue.append((o, r))
+
+    for p, s in list(eps):  # the seed shortcut of an empty z_mid
+        link(p, s)
+    while queue:
+        q, r = queue.pop()
+        out_r = out[r]
+        for p, y in into[q]:
+            for s in out_r.get(y, ()):
+                if p != s and (p, s) not in eps:
+                    link(p, s)
+
+    return CosetAutomaton(free, initial, accepting, frozenset(edges), frozenset(eps),
+                          out, reach)
 
 
 def double_coset_member(u: Word, z_mid: Word, v: Word, z: Word) -> bool:
@@ -172,9 +182,15 @@ def _cyclic_coset(relation: str, m: int, x: Word, x2: Word, t: Word) -> bool:
         raise DegenerateInput(f"{relation} requires nontrivial centralizer anchors")
     if t.alphabet != x.alphabet:
         raise AlphabetMismatch("y over a different alphabet from x")
-    if not centralizer_equal(x, x2):
+    if x2.alphabet != x.alphabet:
+        raise AlphabetMismatch("x' over a different alphabet from x")
+    rx = root(x)[0]
+    if not _same_root(rx, root(x2)[0]):
         return False
-    return not t or (centralizer_equal(x, t) and root(t)[1] % m == 0)
+    if not t:
+        return True
+    rt, k = root(t)
+    return _same_root(rx, rt) and k % m == 0
 
 
 def e0(x: Word, y: Word) -> bool:
@@ -206,6 +222,10 @@ def e3(p: int, q: int, x: Word, y: Word, z: Word,
         raise DegenerateInput("E3 requires nontrivial centralizer anchors")
     if any(w.alphabet != x.alphabet for w in (y, z, x2, y2, z2)):
         raise AlphabetMismatch("E3 words over mixed alphabets")
-    if not centralizer_equal(x, x2) or not centralizer_equal(y, y2):
+    rx = root(x)[0]
+    if not _same_root(rx, root(x2)[0]):
         return False
-    return double_coset_member(root(x)[0] ** p, z2, root(y)[0] ** q, z)
+    ry = root(y)[0]
+    if not _same_root(ry, root(y2)[0]):
+        return False
+    return double_coset_member(rx ** p, z2, ry ** q, z)

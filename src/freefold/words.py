@@ -377,14 +377,17 @@ def root(w: Word) -> tuple[Word, int]:
     return r, k
 
 
+def _same_root(rx: Word, ry: Word) -> bool:
+    """Whether two maximal roots generate the same cyclic group."""
+    return rx == ry or rx == invert(ry)
+
+
 def centralizer_equal(x: Word, y: Word) -> bool:
     """Whether <root(x)> == <root(y)>, the centralizer test for nontrivial words."""
     if not x or not y:
         raise DegenerateInput("centralizers are compared for nontrivial words only")
     _check_same_alphabet(x, y)
-    rx, _ = root(x)
-    ry, _ = root(y)
-    return rx == ry or rx == invert(ry)
+    return _same_root(root(x)[0], root(y)[0])
 
 
 # -- text grammar ----------------------------------------------------------

@@ -1,16 +1,20 @@
 """Shared test utilities: seeded random words, small enumerations, the
 reference fold and basis test, the reference least rotation, the
-reference ball scan and the reference Whitehead descent."""
+reference ball scan, the reference Whitehead descent, the round-based
+coset automaton and the Smith-normal-form extendability test."""
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from freefold.abelian import smith_normal_form
 from freefold.chain import BUDGET, DEFAULT_SCAN_CAP, VerificationReport, _finish
+from freefold.cosets import _add_cycle
 from freefold.graphs import SubgroupGraph
 from freefold.whitehead import Automorphism, BudgetExhausted, DEFAULT_BUDGET
 from freefold.words import (
@@ -389,3 +393,123 @@ def naive_extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> b
                 next_frontier.append(candidate)
         frontier = next_frontier
     return False
+
+
+# -- the round-based coset automaton -------------------------------------------
+
+
+def _eps_reach(n_states: int, eps: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """For each state, the states its epsilon paths reach, itself included."""
+    succ: list[list[int]] = [[] for _ in range(n_states)]
+    for p, q in eps:
+        succ[p].append(q)
+    reach: list[set[int]] = []
+    for p in range(n_states):
+        seen, stack = {p}, [p]
+        while stack:
+            for r in succ[stack.pop()]:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        reach.append(seen)
+    return reach
+
+
+@dataclass
+class NaiveCosetAutomaton:
+    """Saturated recognizer for the reduced words of <u> z_mid <v>."""
+
+    n_states: int
+    initial: int
+    accepting: int
+    letter_edges: frozenset[tuple[int, int, int]]  # (state, letter code, state)
+    eps: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    _start: set[int] = field(init=False, repr=False, compare=False)
+    _step: dict[tuple[int, int], set[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # built once: a letter steps straight to the epsilon closure of its targets
+        reach = _eps_reach(self.n_states, self.eps)
+        self._start = reach[self.initial]
+        self._step = {}
+        for p, x, q in self.letter_edges:
+            self._step.setdefault((p, x), set()).update(reach[q])
+
+    def accepts(self, w: Word) -> bool:
+        current = self._start
+        for c in w.letters:
+            nxt: set[int] = set()
+            for p in current:
+                nxt.update(self._step.get((p, c), ()))
+            if not nxt:
+                return False
+            current = nxt
+        return self.accepting in current
+
+
+def naive_build_coset_automaton(u: Word, z_mid: Word, v: Word) -> NaiveCosetAutomaton:
+    """Saturation in full rounds: recompute every epsilon closure, scan every
+    pair of letter edges, repeat until a round adds no shortcut.
+
+    Test oracle for ``freefold.cosets.build_coset_automaton``, which must
+    build the same states and shortcuts and accept the same words.
+    """
+    if not u or not v:
+        raise DegenerateInput("double cosets need nontrivial cyclic sides")
+    if u.alphabet != z_mid.alphabet or u.alphabet != v.alphabet:
+        raise AlphabetMismatch("double-coset pieces over mixed alphabets")
+
+    edges: set[tuple[int, int, int]] = set()
+    eps: set[tuple[int, int]] = set()
+    initial, accepting = 0, 1
+    free = 2
+    free = _add_cycle(edges, initial, u, free)
+    free = _add_cycle(edges, accepting, v, free)
+    if z_mid.letters:
+        prev = initial
+        for i, c in enumerate(z_mid.letters):
+            nxt = accepting if i == len(z_mid.letters) - 1 else free
+            if nxt == free:
+                free += 1
+            edges.add((prev, c, nxt))
+            prev = nxt
+    else:
+        eps.add((initial, accepting))
+
+    # saturate: close epsilons transitively, then add a shortcut p ~~> s for
+    # every configuration p --x--> q ~~> r --x^-1--> s
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for p, x, q in edges:
+        by_label.setdefault(x, []).append((p, q))
+    while True:
+        reach = _eps_reach(free, eps)
+        added = False
+        for x, forward in by_label.items():
+            backward = by_label.get(x ^ 1, ())
+            for p, q in forward:
+                for r, s in backward:
+                    if r in reach[q] and p != s and (p, s) not in eps:
+                        eps.add((p, s))
+                        added = True
+        if not added:
+            break
+
+    return NaiveCosetAutomaton(free, initial, accepting, frozenset(edges), frozenset(eps))
+
+
+# -- the Smith-normal-form extendability test ----------------------------------
+
+
+def naive_is_basis_extendable_abelian(vectors: Sequence[Sequence[int]]) -> bool:
+    """Whether the rows extend to a basis of the integer lattice.
+
+    True iff the matrix has full row rank and every elementary divisor is 1.
+    Test oracle for ``freefold.abelian.is_basis_extendable_abelian``, which
+    decides the same question by column reduction.
+    """
+    vecs = [tuple(v) for v in vectors]
+    if not vecs:
+        raise DegenerateInput("no vectors given")
+    divisors = smith_normal_form(vecs)
+    nonzero = [d for d in divisors if d]
+    return len(nonzero) == len(vecs) and all(d == 1 for d in nonzero)

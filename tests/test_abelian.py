@@ -9,7 +9,7 @@ from freefold.abelian import (
 )
 from freefold.whitehead import extends_to_basis, whitehead_generators
 from freefold.words import Alphabet, DegenerateInput, commutator, conjugate, multiply
-from helpers import random_word
+from helpers import naive_is_basis_extendable_abelian, random_word
 
 AB = Alphabet.parse("a0,b0")
 ABC = Alphabet.parse("a0,b0,c0")
@@ -119,6 +119,58 @@ def test_is_basis_extendable_abelian_examples():
 def test_extendable_rejects_empty():
     with pytest.raises(DegenerateInput):
         is_basis_extendable_abelian([])
+
+
+def test_extendable_rejects_empty_rows_and_ragged_matrices():
+    with pytest.raises(DegenerateInput):
+        is_basis_extendable_abelian([[]])
+    with pytest.raises(ValueError):
+        is_basis_extendable_abelian([[1, 0], [0]])
+
+
+def _unimodular_rows(rng, n):
+    """Rows of a random unimodular matrix with entries of a few hundred
+    bits: 4n row additions with multipliers up to 10^6, then a shuffle."""
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        j += j >= i
+        m = rng.randint(1, 10**6) * rng.choice((1, -1))
+        matrix[i] = [x + m * y for x, y in zip(matrix[i], matrix[j])]
+    rng.shuffle(matrix)
+    return matrix
+
+
+def test_column_reduction_matches_smith_normal_form_oracle():
+    rng = random.Random(13)
+    for q in range(5200):
+        n = rng.randint(1, 6)
+        if q % 4 == 3 and n > 1:
+            rows = [list(r) for r in _unimodular_rows(rng, n)[: rng.randint(1, n)]]
+            if q % 8 == 7:
+                j, d = rng.randrange(len(rows)), rng.randint(2, 9)
+                rows[j] = [d * x for x in rows[j]]
+        else:
+            k = rng.randint(1, n + 1)
+            bound = rng.choice((1, 2, 5, 40))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+            if q % 5 == 1:
+                rows[rng.randrange(k)] = [0] * n
+            elif q % 5 == 2 and k > 1:
+                rows[rng.randrange(k)] = list(rows[rng.randrange(k)])
+        assert is_basis_extendable_abelian(rows) == naive_is_basis_extendable_abelian(rows), rows
+
+
+def test_unimodular_rows_extend_and_scaled_rows_do_not():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        rows = _unimodular_rows(rng, n)[: rng.randint(1, n)]
+        assert is_basis_extendable_abelian(rows)
+        j, d = rng.randrange(len(rows)), rng.randint(2, 9)
+        rows[j] = [d * x for x in rows[j]]
+        assert not is_basis_extendable_abelian(rows)
 
 
 def test_whitehead_extension_implies_abelian_extension():

@@ -295,6 +295,33 @@ def test_exactly_one_convention_closes():
         assert bad.identity_residue
 
 
+def test_residue_without_basis_is_the_rewrite_residue():
+    chains = [build_chain(n, flip) for n in range(2, 33, 2) for flip in (False, True)]
+    chains += _perturbed_surface_chains(random.Random(139), 40)
+    for ch in chains:
+        assert chain_mod._primed(ch)[2] == surface_rewrite(ch).identity_residue
+
+
+def test_surface_report_reads_both_rewrites():
+    chains = [build_chain(n, flip) for n in (2, 4, 6) for flip in (False, True)]
+    chains += _perturbed_surface_chains(random.Random(149), 40)
+    for ch in chains:
+        rw = surface_rewrite(ch)
+        flipped = build_chain(ch.n, inverted_stable_letters=not ch.inverted_stable_letters)
+        other = surface_rewrite(flipped).identity_residue
+        witnesses = [f"primed residue: {rw.identity_residue}"] if rw.identity_residue else []
+        if not naive_is_basis(rw.new_basis, ch.alphabet):
+            witnesses.append("rewritten generating set is not a basis")
+        if bool(rw.identity_residue) == bool(other):
+            witnesses.append("conventions are not separated: flipped-residue "
+                             f"{other if other else 'empty'}")
+        report = verify_surface_rewrite(ch)
+        assert report.witnesses == witnesses
+        assert report.status == ("fail" if witnesses else "pass")
+        assert report.params == {"n": ch.n, "basis_size": len(rw.new_basis),
+                                 "inverted_stable_letters": int(ch.inverted_stable_letters)}
+
+
 def test_flipped_chain_fails_surface_check():
     report = verify_surface_rewrite(build_chain(2, inverted_stable_letters=True))
     assert report.status == "fail"

@@ -20,7 +20,7 @@ from freefold.words import (
     multiply,
     root,
 )
-from helpers import all_reduced_words, random_word
+from helpers import all_reduced_words, naive_build_coset_automaton, random_word
 
 AB = Alphabet.parse("a,b")
 RS = Alphabet.parse("r,s")
@@ -154,6 +154,56 @@ def test_automaton_subset_run_is_functional():
     assert auto.accepts(AB.word("a^7 b^2"))
     assert not auto.accepts(AB.word("a b a b"))
     assert not auto.accepts(AB.word("b a"))
+
+
+def _oracle_triple(rng, al, shape):
+    """A (u, z_mid, v) triple of the given shape, seeded."""
+    u = random_word(rng, al, 4, nonempty=True)
+    v = random_word(rng, al, 4, nonempty=True)
+    z_mid = random_word(rng, al, 5)
+    if shape == "empty":
+        z_mid = al.identity()
+    elif shape == "letters":
+        u, v = (al.generators()[rng.randrange(al.rank)] ** rng.choice((1, -1))
+                for _ in range(2))
+    elif shape == "same":
+        v = u
+    elif shape == "inverse":
+        v = invert(u)
+    elif shape == "powers":
+        u, v = u ** rng.randint(2, 3), v ** rng.randint(-3, -2)
+    elif shape == "conjugates":
+        g = random_word(rng, al, 2, nonempty=True)
+        u = conjugate(random_word(rng, al, 2, nonempty=True), g)
+        v = conjugate(random_word(rng, al, 2, nonempty=True), rng.choice((g, invert(g))))
+    return u, z_mid, v
+
+
+def test_worklist_saturation_matches_round_based_oracle():
+    rng = random.Random(79)
+    shapes = ("random", "empty", "letters", "same", "inverse", "powers", "conjugates")
+    # a shortcut chain: some closure grows after a state that reaches it
+    # took its closure, so the growth must be passed on
+    triples = [(AB.word("b a^-2"), AB.identity(), AB.word("b a^-1 b^-1"))]
+    abc = Alphabet.parse("a,b,c")
+    for i in range(2450):
+        al = AB if i % 2 else abc
+        triples.append(_oracle_triple(rng, al, shapes[i % len(shapes)]))
+    for u, z_mid, v in triples:
+        al = u.alphabet
+        fast = build_coset_automaton(u, z_mid, v)
+        slow = naive_build_coset_automaton(u, z_mid, v)
+        assert (fast.n_states, fast.initial, fast.accepting) == (
+            slow.n_states, slow.initial, slow.accepting)
+        assert fast.letter_edges == slow.letter_edges
+        assert fast.eps == slow.eps
+        a_exp, b_exp = rng.randint(-4, 4), rng.randint(-4, 4)
+        words = [multiply(multiply(u ** a_exp, z_mid), v ** b_exp),
+                 multiply(u ** a_exp, v ** b_exp)]
+        words += [random_word(rng, al, 8) for _ in range(2)]
+        for w in words:
+            assert fast.accepts(w) == slow.accepts(w), (u, z_mid, v, w)
+        assert fast.accepts(words[0])
 
 
 def test_double_coset_agrees_with_bounded_search():
