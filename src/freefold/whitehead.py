@@ -8,6 +8,14 @@ the same total length.  Greedy descent therefore finds the minimum, and a
 breadth-first sweep of the bottom level decides whether the orbit contains
 a tuple of distinct generators.
 
+Both searches also stop at the length floor.  An automorphism keeps the
+trivial class trivial and every other class nontrivial, of cyclic length at
+least 1, so no tuple in the orbit is shorter than its number of nontrivial
+entries.  Descent that reaches that total stops without another sweep, and
+basis extension answers there without the level-set sweep: each entry is
+one letter, and an automorphism takes two letters on one generator to
+powers of one element, never to conjugates of distinct generators.
+
 Signed basis permutations (type I) never change lengths and preserve the
 "distinct generators" target, so the searches only ever apply type-II moves.
 
@@ -16,10 +24,10 @@ Whitehead's algorithm", Bull. AMS 1984; Roig, Ventura and Weil, IJAC 2007).
 So each candidate move is scored on letter codes: substitute, freely reduce
 with one stack, strip the cyclic cancellation and count.  The descent builds
 the ``Automorphism`` and the canonical forms of the first strictly shortening
-move only, and the level-set sweep canonicalises only candidates at the
-floor.  One generator, ``_type_two_moves``, enumerates the type-II moves
-in one fixed order for the searches and for ``whitehead_generators``; it
-builds each substitution table as it is asked for and keeps none.
+move only, and the level-set sweep canonicalises only candidates on the
+minimal level.  One generator, ``_type_two_moves``, enumerates the type-II
+moves in one fixed order for the searches and for ``whitehead_generators``;
+it builds each substitution table as it is asked for and keeps none.
 """
 
 from __future__ import annotations
@@ -206,6 +214,13 @@ def minimize_tuple(
     entry, and moves are taken while the total cyclic length strictly drops.
     Each candidate move is scored by that length alone, on letter codes;
     only the first strictly shortening move is built and applied.
+
+    Descent stops, without another sweep, once the total equals the number
+    of nontrivial entries.  Automorphisms map the trivial class to itself
+    and every nontrivial class to a nontrivial one, of cyclic length at
+    least 1, so no move can take the total below that count.  The tuple
+    returned and the moves taken are those of a descent that swept once
+    more and found nothing; only fewer candidates count against the budget.
     """
     if not t:
         raise DegenerateInput("cannot minimize an empty tuple")
@@ -215,10 +230,11 @@ def minimize_tuple(
             raise AlphabetMismatch("tuple entries over mixed alphabets")
     current = [cyclic_canonical(w) for w in t]
     total = sum(len(w) for w in current)
+    floor = sum(1 for w in current if w)
     seq: list[Automorphism] = []
     examined = 0
     improved = True
-    while improved:
+    while improved and total > floor:
         improved = False
         entries = [w.letters for w in current]
         for m, choice, subst in _type_two_moves(alphabet):
@@ -259,6 +275,14 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
     After greedy descent, sweeps the whole level set of minimal-total-length
     tuples reachable by single type-II moves; greedy alone can land on a
     minimal tuple other than a generator tuple.
+
+    A descended tuple at the length floor, one letter per entry, that is not
+    a generator tuple answers ``False`` without the sweep.  Two of its
+    entries are then x^e and x^f on one generator x, and every automorphism
+    phi sends them to phi(x)^e and phi(x)^f.  Were these conjugate to
+    distinct generators y and z, z would be conjugate to y or y^-1, which
+    abelianization rules out.  So no tuple in the orbit consists of distinct
+    generators.
     """
     if not t:
         raise DegenerateInput("cannot test an empty tuple")
@@ -267,10 +291,12 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
             raise DegenerateInput("tuple entries must be nontrivial")
     start, _ = minimize_tuple(t, budget)
     alphabet = start[0].alphabet
-    floor = sum(len(w) for w in start)
+    level = sum(len(w) for w in start)
     first = tuple(start)
     if _is_generator_tuple(first):
         return True
+    if level == len(first):
+        return False
     visited = {first}
     frontier = [first]
     examined = 0
@@ -284,7 +310,7 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
                     raise BudgetExhausted(
                         f"basis-extension search exceeded {budget} examined tuples"
                     )
-                if _cyclic_length(subst, entries) != floor:
+                if _cyclic_length(subst, entries) != level:
                     continue
                 candidate = tuple(
                     cyclic_canonical(Word(alphabet, _substitute(subst, codes)))

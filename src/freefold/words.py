@@ -213,6 +213,24 @@ def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return a[: n - k] + b[k:]
 
 
+def _join_all(pieces: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """The free reduction of the reduced ``pieces`` laid end to end.
+
+    As in ``_join``, only letters at a junction cancel; each letter is
+    appended once and removed at most once, so this is linear in the letters
+    of the pieces.
+    """
+    acc: list[int] = []
+    for b in pieces:
+        n, m = len(acc), min(len(acc), len(b))
+        k = 0
+        while k < m and acc[n - 1 - k] == b[k] ^ 1:
+            k += 1
+        del acc[n - k:]
+        acc += b[k:]
+    return tuple(acc)
+
+
 def _check_same_alphabet(*words: Word) -> None:
     first = words[0].alphabet
     for w in words[1:]:

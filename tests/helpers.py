@@ -1,7 +1,8 @@
 """Shared test utilities: seeded random words, small enumerations, the
 reference fold and basis test, the reference least rotation, the
-reference ball scan, the reference Whitehead descent, the round-based
-coset automaton and the Smith-normal-form extendability test."""
+step-by-step surface residue, the reference ball scan, the reference
+Whitehead descent, the round-based coset automaton and the
+Smith-normal-form extendability test."""
 
 from __future__ import annotations
 
@@ -13,7 +14,13 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from freefold.abelian import smith_normal_form
-from freefold.chain import BUDGET, DEFAULT_SCAN_CAP, VerificationReport, _finish
+from freefold.chain import (
+    BUDGET,
+    DEFAULT_SCAN_CAP,
+    SurfaceChain,
+    VerificationReport,
+    _finish,
+)
 from freefold.cosets import _add_cycle
 from freefold.graphs import SubgroupGraph
 from freefold.whitehead import Automorphism, BudgetExhausted, DEFAULT_BUDGET
@@ -22,6 +29,8 @@ from freefold.words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
+    commutator,
+    conjugate,
     cyclic_canonical,
     invert,
     multiply,
@@ -198,6 +207,25 @@ def naive_is_basis(gens: Sequence[Word], alphabet: Alphabet) -> bool:
     return all(graph.contains(x) for x in alphabet.generators())
 
 
+def naive_primed_residue(chain: SurfaceChain) -> Word:
+    """The surface relator's identity residue, one ``multiply`` per piece.
+
+    Test oracle for ``freefold.chain._primed``, which reduces all the pieces
+    in one pass and must return the same residue.
+    """
+    n = chain.n
+    handles = [(conjugate(chain.a(i), chain.s[i - 1]), conjugate(chain.b(i), chain.s[i - 1]))
+               for i in range(1, n + 1)]
+    d_np = conjugate(chain.d[n], chain.s[n - 1])
+    rhs = commutator(chain.b(0), chain.a(0))
+    for a_p, b_p in handles[1::2]:
+        rhs = multiply(rhs, commutator(b_p, a_p))
+    rhs = multiply(rhs, invert(d_np))
+    for a_p, b_p in handles[-2::-2]:
+        rhs = multiply(rhs, commutator(a_p, b_p))
+    return multiply(invert(chain.c[0]), rhs)
+
+
 def _ball_of_products(part: Sequence[Word], max_len: int, cap: int):
     """All nontrivial reduced products of at most max_len part letters,
     or None once more than cap distinct elements appear."""
@@ -317,7 +345,8 @@ def naive_minimize_tuple(
 
     Test oracle for ``freefold.whitehead.minimize_tuple``, which scores
     candidates by cyclic length alone and must return the same tuple, take
-    the same moves and exhaust the same budgets.
+    the same moves and exhaust the same budgets.  Like it, this stops once
+    the total is the number of nontrivial entries, which no move undercuts.
     """
     if not t:
         raise DegenerateInput("cannot minimize an empty tuple")
@@ -327,10 +356,11 @@ def naive_minimize_tuple(
             raise AlphabetMismatch("tuple entries over mixed alphabets")
     moves = _naive_moves(alphabet)
     current = [cyclic_canonical(w) for w in t]
+    floor = len([w for w in current if w])
     seq: list[Automorphism] = []
     examined = 0
     improved = True
-    while improved:
+    while improved and _total(current) != floor:
         improved = False
         for f in moves:
             candidate = [cyclic_canonical(f.apply(w)) for w in current]
@@ -359,7 +389,8 @@ def naive_extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> b
     canonicalising every candidate.
 
     Test oracle for ``freefold.whitehead.extends_to_basis``, which must give
-    the same answer and exhaust the same budgets.
+    the same answer and exhaust the same budgets.  A descended tuple of single
+    letters that is not a generator tuple answers ``False`` unswept, as there.
     """
     if not t:
         raise DegenerateInput("cannot test an empty tuple")
@@ -372,6 +403,8 @@ def naive_extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> b
     first = tuple(start)
     if _is_generator_tuple(first):
         return True
+    if all(len(w) == 1 for w in first):
+        return False
     visited = {first}
     frontier = [first]
     examined = 0

@@ -41,7 +41,7 @@ from freefold.words import (
     invert,
     multiply,
 )
-from helpers import naive_cross_conjugacy_scan, naive_is_basis
+from helpers import naive_cross_conjugacy_scan, naive_is_basis, naive_primed_residue
 
 
 def test_build_examples():
@@ -295,22 +295,22 @@ def test_exactly_one_convention_closes():
         assert bad.identity_residue
 
 
-def test_residue_without_basis_is_the_rewrite_residue():
-    chains = [build_chain(n, flip) for n in range(2, 33, 2) for flip in (False, True)]
+def test_primed_residue_matches_step_by_step_oracle():
+    chains = [build_chain(n, flip) for n in range(2, 65, 2) for flip in (False, True)]
     chains += _perturbed_surface_chains(random.Random(139), 40)
     for ch in chains:
-        assert chain_mod._primed(ch)[2] == surface_rewrite(ch).identity_residue
+        assert chain_mod._primed(ch)[2] == naive_primed_residue(ch)
 
 
-def test_surface_report_reads_both_rewrites():
-    chains = [build_chain(n, flip) for n in (2, 4, 6) for flip in (False, True)]
-    chains += _perturbed_surface_chains(random.Random(149), 40)
+def _check_report_reads_both_rewrites(chains, is_basis):
+    """The surface report equals one recomputed from both conventions' full
+    rewrites, with ``is_basis`` folding the built basis."""
     for ch in chains:
         rw = surface_rewrite(ch)
         flipped = build_chain(ch.n, inverted_stable_letters=not ch.inverted_stable_letters)
         other = surface_rewrite(flipped).identity_residue
         witnesses = [f"primed residue: {rw.identity_residue}"] if rw.identity_residue else []
-        if not naive_is_basis(rw.new_basis, ch.alphabet):
+        if not is_basis(rw.new_basis, ch.alphabet):
             witnesses.append("rewritten generating set is not a basis")
         if bool(rw.identity_residue) == bool(other):
             witnesses.append("conventions are not separated: flipped-residue "
@@ -320,6 +320,19 @@ def test_surface_report_reads_both_rewrites():
         assert report.status == ("fail" if witnesses else "pass")
         assert report.params == {"n": ch.n, "basis_size": len(rw.new_basis),
                                  "inverted_stable_letters": int(ch.inverted_stable_letters)}
+
+
+def test_surface_report_reads_both_rewrites():
+    chains = [build_chain(n, flip) for n in (2, 4, 6) for flip in (False, True)]
+    chains += _perturbed_surface_chains(random.Random(149), 40)
+    _check_report_reads_both_rewrites(chains, naive_is_basis)
+
+
+def test_surface_report_reads_both_rewrites_to_depth_64():
+    # the reference fold is too slow for these bases: fold them with the library's
+    chains = [build_chain(n, flip) for n in range(8, 65, 2) for flip in (False, True)]
+    chains += _perturbed_surface_chains(random.Random(151), 40)
+    _check_report_reads_both_rewrites(chains, is_basis_of_ambient)
 
 
 def test_flipped_chain_fails_surface_check():

@@ -75,6 +75,11 @@ def test_primitive_exhausted_budget_is_undecided(capsys):
     assert err.startswith("undecided:")
 
 
+def test_primitive_generator_needs_no_search(capsys):
+    # a single letter is at the length floor: no candidate move is examined
+    assert run(capsys, "primitive", "--budget", "1", "--alphabet", "a,b,c", "b")[0] == 0
+
+
 def test_member(capsys):
     code, out, _ = run(
         capsys, "member", "--alphabet", "a,b", "--gen", "a^2", "--gen", "b",

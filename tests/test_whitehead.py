@@ -16,8 +16,10 @@ from freefold.words import (
     Alphabet,
     AlphabetMismatch,
     DegenerateInput,
+    Word,
     commutator,
     conjugate,
+    cyclic_canonical,
     invert,
     multiply,
 )
@@ -233,6 +235,58 @@ def test_budget_exhaustion_is_reported():
         minimize_tuple([AB.word("a0 b0 a0 b0^-1")], budget=0)
     with pytest.raises(BudgetExhausted):
         extends_to_basis([AB.word("a0 b0 a0 b0^-1 a0^-1 b0")], budget=3)
+
+
+# -- the length floor -----------------------------------------------------------
+
+
+def _floor_tuples(al, rng):
+    """Tuples whose entries are single letters or trivial: every pair, and
+    a sample of triples."""
+    entries = [al.identity()] + [Word(al, (c,)) for c in range(2 * al.rank)]
+    tuples = [[u] for u in entries] + [[u, v] for u in entries for v in entries]
+    tuples += [rng.choices(entries, k=3) for _ in range(100)]
+    return tuples
+
+
+def test_no_move_shortens_a_tuple_at_the_floor():
+    rng = random.Random(31)
+    for rank in (1, 2, 3, 4):
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        moves = naive_type_two(al)
+        for t in _floor_tuples(al, rng):
+            floor = sum(1 for w in t if w)
+            for f in moves:
+                images = [cyclic_canonical(f.apply(w)) for w in t]
+                assert sum(len(w) for w in images) >= floor, (t, f)
+
+
+def test_descent_at_the_floor_examines_nothing():
+    rng = random.Random(37)
+    for rank in (1, 2, 5):
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        for t in _floor_tuples(al, rng):
+            minimal, moves = minimize_tuple(t, budget=0)
+            assert minimal == [cyclic_canonical(w) for w in t]
+            assert moves == []
+            assert _descent_key(naive_minimize_tuple(t, 0)) == _descent_key((minimal, moves))
+
+
+def test_generators_are_primitive_at_budget_zero():
+    for rank in (1, 3, 5):
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        for x in al.generators():
+            assert is_primitive(x, budget=0)
+            assert is_primitive(invert(x), budget=0)
+
+
+def test_basis_extension_at_the_floor_needs_no_budget():
+    for rank in (2, 5):
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        x0, x1 = al.generators()[:2]
+        for t, want in (([x0, x0], False), ([x0, invert(x0)], False), ([x1, x0], True)):
+            assert extends_to_basis(t, budget=0) is want
+            assert naive_extends_to_basis(t, budget=0) is want
 
 
 # -- scored descent against the apply-everything oracle -----------------------

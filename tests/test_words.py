@@ -10,6 +10,7 @@ from freefold.words import (
     Letter,
     Word,
     WordSyntaxError,
+    _join_all,
     _least_rotation,
     centralizer_equal,
     commutator,
@@ -134,6 +135,10 @@ def test_kernel_matches_reducing_constructor():
             for k in range(-4, 5):
                 raw = x * k if k >= 0 else _inv(x) * -k
                 assert (u ** k).letters == Word(al, raw).letters
+            pieces = (x, y, _inv(y), _inv(x), y, y, x, _inv(x), _inv(y))
+            for k in range(len(pieces) + 1):
+                raw = [c for p in pieces[:k] for c in p]
+                assert _join_all(pieces[:k]) == Word(al, raw).letters
             cw = cyclic_normal_form(u)
             assert cw.canonical.letters == Word(al, cw.canonical.letters).letters
             assert cw.conjugator.letters == Word(al, cw.conjugator.letters).letters
