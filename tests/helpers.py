@@ -1,8 +1,8 @@
 """Shared test utilities: seeded random words, small enumerations, the
 reference fold and basis test, the reference least rotation, the
-step-by-step surface residue, the reference ball scan, the reference
-Whitehead descent, the round-based coset automaton and the
-Smith-normal-form extendability test."""
+step-by-step surface residue, the fold-based flag check, the reference ball
+scan, the reference Whitehead descent, the round-based coset automaton and
+the Smith-normal-form extendability test."""
 
 from __future__ import annotations
 
@@ -19,10 +19,12 @@ from freefold.chain import (
     DEFAULT_SCAN_CAP,
     SurfaceChain,
     VerificationReport,
+    _c0_once,
     _finish,
+    flag_parts,
 )
 from freefold.cosets import _add_cycle
-from freefold.graphs import SubgroupGraph
+from freefold.graphs import SubgroupGraph, fold_subgroup
 from freefold.whitehead import Automorphism, BudgetExhausted, DEFAULT_BUDGET
 from freefold.words import (
     Alphabet,
@@ -224,6 +226,32 @@ def naive_primed_residue(chain: SurfaceChain) -> Word:
     for a_p, b_p in handles[-2::-2]:
         rhs = multiply(rhs, commutator(a_p, b_p))
     return multiply(invert(chain.c[0]), rhs)
+
+
+def naive_flag_decomposition(chain: SurfaceChain, i: int) -> VerificationReport:
+    """The flag check by folding K u H and H u L at every index.
+
+    Test oracle for ``freefold.chain.explicit_flag_decomposition``, which
+    reads (b) and (c) off letter positions where c_2i allows it and must
+    give the same status, params and witnesses.
+    """
+    started = time.perf_counter()
+    k_part, h_part, l_part = flag_parts(chain, i)
+    witnesses = []
+    if not _c0_once(chain.c[2 * i]):
+        witnesses.append("K u H u L is not a basis of the ambient group")
+    kh = fold_subgroup(k_part + h_part, chain.alphabet)
+    for j in range(0, 2 * (i - 1) + 1, 2):
+        for w in chain.h_tuples[j]:
+            if not kh.contains(w):
+                witnesses.append(f"stage-{j} entry {w} escapes K u H")
+    hl = fold_subgroup(h_part + l_part, chain.alphabet)
+    for w in chain.h_tuples[2 * (i + 1)]:
+        if not hl.contains(w):
+            witnesses.append(f"stage-{2 * (i + 1)} entry {w} escapes H u L")
+    return _finish(
+        "flag_decomposition", {"n": chain.n, "i": i}, witnesses, started
+    )
 
 
 def _ball_of_products(part: Sequence[Word], max_len: int, cap: int):

@@ -41,7 +41,12 @@ from freefold.words import (
     invert,
     multiply,
 )
-from helpers import naive_cross_conjugacy_scan, naive_is_basis, naive_primed_residue
+from helpers import (
+    naive_cross_conjugacy_scan,
+    naive_flag_decomposition,
+    naive_is_basis,
+    naive_primed_residue,
+)
 
 
 def test_build_examples():
@@ -352,12 +357,13 @@ def test_surface_rewrite_at_depth_48():
 
 
 def test_all_checks_at_depth_64():
-    reports, _ = run_checks(build_chain(64), "all")
-    assert all(r.status == "pass" for r in reports)
-    flipped, _ = run_checks(build_chain(64, inverted_stable_letters=True), "all")
-    failed = {r.check for r in flipped if r.status != "pass"}
-    assert failed == {"relation_chain", "surface_rewrite"}
-    assert all(r.status in ("pass", "fail") for r in flipped)
+    for n in (64, 128):
+        reports, _ = run_checks(build_chain(n), "all")
+        assert all(r.status == "pass" for r in reports)
+        flipped, _ = run_checks(build_chain(n, inverted_stable_letters=True), "all")
+        failed = {r.check for r in flipped if r.status != "pass"}
+        assert failed == {"relation_chain", "surface_rewrite"}
+        assert all(r.status in ("pass", "fail") for r in flipped)
 
 
 def test_surface_rewrite_preconditions():
@@ -389,6 +395,87 @@ def test_flag_decomposition_fails_on_a_second_c0_letter():
     c[2] = multiply(c[2], ch.c[0])
     report = explicit_flag_decomposition(dataclasses.replace(ch, c=tuple(c)), 1)
     assert report.witnesses[0] == "K u H u L is not a basis of the ambient group"
+
+
+def _perturbed_flag_chains(rng, count):
+    """Chains at n = 4 ... 16, in either convention, with one c-word changed
+    in one of four ways, a quarter each: multiplied at either end by a
+    random letter or its inverse; c_2i (for a flag index i) given a c0
+    letter at a random place, mostly a second one; multiplied at either end
+    by a letter past its stage; or c_2i inverted, so that its c0 letter has
+    exponent -1, and then multiplied as in the first."""
+    for _ in range(count):
+        n = rng.randint(4, 16)
+        ch = build_chain(n, inverted_stable_letters=rng.random() < 0.5)
+        c = list(ch.c)
+        kind = rng.randrange(4)
+        if kind in (1, 3):
+            j = 2 * rng.choice(flag_indices(n))
+        else:
+            j = rng.randrange(n + 1) if kind == 0 else rng.randrange(n)
+        if kind == 1:
+            k = rng.randint(0, len(c[j]))
+            letters = c[j].letters
+            c[j] = Word(ch.alphabet, letters[:k] + (rng.randrange(2),) + letters[k:])
+        else:
+            if kind == 3:
+                c[j] = invert(c[j])
+            lowest = 3 * j + 3 if kind == 2 else 0
+            x = ch.generators[rng.randrange(lowest, ch.alphabet.rank)]
+            if rng.random() < 0.5:
+                x = invert(x)
+            c[j] = multiply(x, c[j]) if rng.random() < 0.5 else multiply(c[j], x)
+        yield dataclasses.replace(ch, c=tuple(c))
+
+
+def _rule_sign(ch, i):
+    """The exponent of c_2i's c0 letter where the position rule decides the
+    flag check at i, else None."""
+    c_2i = ch.c[2 * i]
+    if _c0_once(c_2i) and max(c_2i.letters) >> 1 <= 6 * i + 2:
+        return -1 if 1 in c_2i.letters else 1
+    return None
+
+
+def test_flag_check_matches_fold_oracle():
+    chains = [build_chain(n, flip) for n in range(4, 25) for flip in (False, True)]
+    chains += _perturbed_flag_chains(random.Random(163), 500)
+    seen = set()
+    for ch in chains:
+        for i in flag_indices(ch.n):
+            report = explicit_flag_decomposition(ch, i)
+            oracle = naive_flag_decomposition(ch, i)
+            assert (report.status, report.params, report.witnesses) == (
+                oracle.status, oracle.params, oracle.witnesses)
+            seen.add((_rule_sign(ch, i), report.status))
+    # failures on the position rule, with either exponent of c0, as well as
+    # off it; off it, c_0 = c0 itself escapes K u H, as phi^-1(c0) carries
+    # c_2i's letters past position 6i + 2
+    assert seen == {(1, "pass"), (1, "fail"), (-1, "pass"), (-1, "fail"), (None, "fail")}
+
+
+def test_flag_check_folds_nothing_on_honest_chains(monkeypatch):
+    def no_fold(*_):
+        raise AssertionError("the flag check folded")
+
+    monkeypatch.setattr(chain_mod, "fold_subgroup", no_fold)
+    for n in range(4, 33):
+        for flip in (False, True):
+            ch = build_chain(n, flip)
+            for i in flag_indices(n):
+                assert explicit_flag_decomposition(ch, i).passed
+
+
+def test_flag_check_reads_foreign_words_as_the_fold_does():
+    ch = build_chain(6)
+    c = list(ch.c)
+    renamed = Alphabet([name + "x" for name in ch.alphabet.names])
+    c[0] = Word(renamed, c[0].letters)
+    foreign = dataclasses.replace(ch, c=tuple(c))
+    assert foreign.h_reach is None
+    for check in (explicit_flag_decomposition, naive_flag_decomposition):
+        with pytest.raises(AlphabetMismatch):
+            check(foreign, 2)
 
 
 def test_flag_negative_control():
