@@ -22,7 +22,7 @@ print("the family u^a s v^b collapses to r^(a-b) s, so membership of r^20 s")
 print("needs exponents far beyond any fixed bound:")
 z = RS.word("r^20 s")
 print("  bounded search |a|,|b| <= 6:", double_coset_member_bounded(u, mid, v, z, 6))
-print("  saturated automaton:        ", double_coset_member(u, mid, v, z))
+print("  folded-graph reading:       ", double_coset_member(u, mid, v, z))
 
 print()
 print("== e3 ties it together ==")

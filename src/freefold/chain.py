@@ -791,12 +791,16 @@ def run_checks(
     Under ``all`` a check that does not apply at this depth becomes the note
     ``"<lemma> skipped: <reason>"``, and flag runs at every valid index.  A
     single lemma that does not apply raises ValueError(reason); flag alone
-    needs its index i.  max_len and element_cap bound the separation scan.
+    needs its index i, and no other lemma takes one.  max_len and
+    element_cap bound the separation scan.
     """
     if lemma != "all":
         _require(lemma, chain.n)
-        if lemma == "flag" and i is None:
-            raise ValueError("the flag check needs an index --i")
+    if lemma == "flag" and i is None:
+        raise ValueError("the flag check needs an index --i")
+    if lemma != "flag" and i is not None:
+        raise ValueError(f"--i applies only to --lemma flag, not {lemma}")
+    if lemma != "all":
         return CHECKS[lemma].run(chain, i, max_len, element_cap), []
     reports: list[VerificationReport] = []
     notes: list[str] = []

@@ -1,44 +1,60 @@
 """Decision procedures for conjugacy and cyclic-coset equivalence relations.
 
 The double-coset test is the interesting one: membership of z in
-<u> z' <v> with unbounded exponents.  Bounded exponent search is unsound
-(conjugation can collapse u^a z' v^b to a short word for arbitrarily large
-exponents), so we decide it with a cancellation-saturated automaton.
+H z' K, with H = <u> and K = <v>, for unbounded exponents.  Bounded
+exponent search is unsound (conjugation can collapse u^a z' v^b to a short
+word for arbitrarily large exponents), so we decide it exactly by reading
+words into the Stallings folded graphs of H and K.
 
-The automaton accepts the pattern language u^a z' v^b, a, b in Z: a cycle
-spelling u (walkable in both directions) at the initial state, a one-way
-arc spelling z', and a cycle spelling v at the accepting state.  Saturation
-then adds an epsilon transition p -> s whenever p --x--> q ~~> r --x^-1--> s
-for some letter x and epsilon path q ~~> r; each such shortcut is witnessed
-by a path whose label freely reduces away, so the recognized subset of the
-group is unchanged, and at the fixpoint the reduced word of every member is
-accepted directly (Benois).  The epsilon shortcuts are one-directional on
-purpose: collapsing the pair of states into one would also create the
-reverse shortcut, which in general is witnessed by no path and grows the
-language (with u = "a", z' = "a" it would accept all of <a, v>).
+Write u = alpha U alpha^-1 with U cyclically reduced.  The graph G_u of H is
+a stem spelling alpha from the base, then a cycle spelling U.  It is folded
+as built: at the joint the last letter of alpha (walked back), the first
+letter of U and the last letter of U (walked back) are three different
+labels, because u is reduced and U cyclically reduced.  Each vertex keeps
+one step dict, letter code -> vertex, holding its edges in both
+directions.  In a folded graph a reduced word has at most one path from a
+vertex, and the reduced words that read from the base to a vertex x are the
+coset H p for any one such word p; call that set P(x).  G_v is built the
+same way, and Q(y) is the set of reduced words that read backward from its
+base to y (they label paths y -> base): the coset q K for any one of them.
 
-The shortcuts are the least fixpoint of that rule, computed by a worklist.
-The letter edges are indexed once, by (source, letter) and by target.
-Each state's epsilon closure is kept closed as shortcuts are added, and
-each pair (q, r) with r in the closure of q is examined once, when r joins
-it: only the edges into q and out of r are read then.  A rule that fires
-later would need a pair that joined later, so nothing is missed, and the
-shortcut set is the same as that of repeating full rounds until none adds
-anything.
+Since z is in H z' K exactly when z' is in H z K, we read z and test z'.
+Read the longest prefix z1 of z forward from the base of G_u, ending at x,
+then the longest suffix z4 of the rest backward from the base of G_v,
+ending at y, so that z = z1 z3 z4.  Then H z1 = P(x) and z4 K = Q(y), so
+H z K is the set of products p z3 q with p in P(x) and q in Q(y).
 
-Acceptance runs the subset simulation over the same index and closures, a
-letter stepping straight to the closures of its targets, so a reduced input
-has exactly one run in the determinized machine.
+If z3 is non-empty, each p z3 q is already reduced.  No letter cancels at
+p z3: the last letter of p, walked back, is an edge out of x, so if it
+cancelled the first letter of z3, that letter would read from x and z1
+would not be longest.  No letter cancels at z3 q, by the same argument for
+z4 at y.  So z' is a member exactly when z' = p z3 q letter for letter: z3
+sits in z' at some offset k, the k letters before it read from the base of
+G_u to x, and the letters after it read backward from the base of G_v to y.
+
+If z3 is empty, p q may cancel: p = p' w and q = w^-1 q' with p' q'
+reduced.  Then p' is in P(x'), q' in Q(y'), and w reads from x' to x in
+G_u and from y' to y in G_v, that is, from (x', y') to (x, y) in the product
+graph G_u x G_v, whose edges (a, b) --c--> (a', b') pair an edge a --c--> a'
+of G_u with an edge b --c--> b' of G_v.  Conversely, a path w from (x', y')
+to (x, y) there puts the reduced forms of p' w in P(x) and of w^-1 q' in
+Q(y), and their product is p' q'.  So z' is a member exactly when some
+split z' = p' q' has p' in P(x') and q' in Q(y') with (x', y') in the
+component of (x, y) in the product graph.
+
+How far the prefixes of z' read forward into G_u, how far its suffixes
+read backward into G_v, and so the split pairs (x', y'), depend only on
+(u, z', v): the recognizer computes them once and then answers any z.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
+    _cyclic_strip,
+    _inverse,
     _same_root,
     invert,
     is_conjugate,
@@ -47,117 +63,96 @@ from .words import (
 )
 
 
-@dataclass
+def _cyclic_graph(w: Word) -> list[dict[int, int]]:
+    """Step dicts of the folded graph of <w>, base 0: a stem spelling alpha,
+    then a cycle spelling U, for w = alpha U alpha^-1."""
+    stem, core = _cyclic_strip(w.letters)
+    joint, n = len(stem), len(stem) + len(core)
+    steps: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, c in enumerate(stem + core):
+        b = a + 1 if a + 1 < n else joint
+        steps[a][c] = b
+        steps[b][c ^ 1] = a
+    return steps
+
+
+def _read(steps: list[dict[int, int]], letters) -> list[int]:
+    """The vertices passed reading ``letters`` from the base, as far as they read."""
+    path = [0]
+    x = 0
+    for c in letters:
+        x = steps[x].get(c)
+        if x is None:
+            break
+        path.append(x)
+    return path
+
+
 class CosetAutomaton:
-    """Saturated recognizer for the reduced words of <u> z_mid <v>.
+    """Recognizer for the reduced words of <u> z_mid <v>, over the folded
+    graphs of <u> and <v> and the two readings of z_mid."""
 
-    ``build_coset_automaton`` hands over its saturation's letter-edge index
-    and epsilon closures: ``_out[p][x]`` lists the targets of p's x-edges
-    and ``_reach[q]`` is q's closure, so a letter steps from p straight to
-    the closures of its targets.  ``double_coset_member`` reads one word
-    per automaton, so no step table is built ahead of it.
-    """
+    __slots__ = ("_u", "_v", "_mid", "_pre", "_suf", "_splits")
 
-    n_states: int
-    initial: int
-    accepting: int
-    letter_edges: frozenset[tuple[int, int, int]]  # (state, letter code, state)
-    eps: frozenset[tuple[int, int]]
-    _out: list[dict[int, list[int]]] = field(repr=False, compare=False)
-    _reach: list[set[int]] = field(repr=False, compare=False)
+    def __init__(self, u: Word, z_mid: Word, v: Word):
+        if not u or not v:
+            raise DegenerateInput("double cosets need nontrivial cyclic sides")
+        if u.alphabet != z_mid.alphabet or u.alphabet != v.alphabet:
+            raise AlphabetMismatch("double-coset pieces over mixed alphabets")
+        self._u = _cyclic_graph(u)
+        self._v = _cyclic_graph(v)
+        mid = self._mid = z_mid.letters
+        # pre[k]: where mid[:k] reads to from the base of G_u; suf[j]: where
+        # the last j letters of mid read to backward from the base of G_v
+        pre = self._pre = _read(self._u, mid)
+        suf = self._suf = _read(self._v, _inverse(mid))
+        n = len(mid)
+        self._splits = {(pre[k], suf[n - k])
+                        for k in range(max(0, n + 1 - len(suf)), len(pre))}
 
     def accepts(self, w: Word) -> bool:
-        out, reach = self._out, self._reach
-        current = reach[self.initial]
-        for c in w.letters:
-            nxt: set[int] = set()
-            for p in current:
-                for q in out[p].get(c, ()):
-                    nxt |= reach[q]
-            if not nxt:
-                return False
-            current = nxt
-        return self.accepting in current
+        letters = w.letters
+        # z1 = letters[:i] reads from the base of G_u to x, then
+        # z4 = letters[j:] reads backward from the base of G_v to y
+        fwd = _read(self._u, letters)
+        i, x = len(fwd) - 1, fwd[-1]
+        back = _read(self._v, _inverse(letters[i:]))
+        j, y = len(letters) + 1 - len(back), back[-1]
+        if i == j:
+            return self._linked(x, y)
+        z3 = letters[i:j]
+        m = j - i
+        mid, pre, suf = self._mid, self._pre, self._suf
+        rest = len(mid) - m  # letters of z_mid around z3
+        for k in range(max(0, rest + 1 - len(suf)), min(len(pre), rest + 1)):
+            if pre[k] == x and suf[rest - k] == y and mid[k:k + m] == z3:
+                return True
+        return False
 
-
-def _add_cycle(edges: set[tuple[int, int, int]], start: int, word: Word,
-               next_free: int) -> int:
-    """Wire a bidirectional cycle spelling ``word`` through ``start``."""
-    n = len(word.letters)
-    states = [start] + list(range(next_free, next_free + n - 1))
-    for i, c in enumerate(word.letters):
-        a, b = states[i], states[(i + 1) % n]
-        edges.add((a, c, b))
-        edges.add((b, c ^ 1, a))
-    return next_free + n - 1
-
-
-def build_coset_automaton(u: Word, z_mid: Word, v: Word) -> CosetAutomaton:
-    if not u or not v:
-        raise DegenerateInput("double cosets need nontrivial cyclic sides")
-    if u.alphabet != z_mid.alphabet or u.alphabet != v.alphabet:
-        raise AlphabetMismatch("double-coset pieces over mixed alphabets")
-
-    edges: set[tuple[int, int, int]] = set()
-    eps: set[tuple[int, int]] = set()
-    initial, accepting = 0, 1
-    free = 2
-    free = _add_cycle(edges, initial, u, free)
-    free = _add_cycle(edges, accepting, v, free)
-    if z_mid.letters:
-        prev = initial
-        for i, c in enumerate(z_mid.letters):
-            nxt = accepting if i == len(z_mid.letters) - 1 else free
-            if nxt == free:
-                free += 1
-            edges.add((prev, c, nxt))
-            prev = nxt
-    else:
-        eps.add((initial, accepting))
-
-    # index the letter edges once: out[p][x] lists the targets of p's
-    # x-edges, into[q] the pairs (p, x^-1) of the edges p --x--> q
-    out: list[dict[int, list[int]]] = [{} for _ in range(free)]
-    into: list[list[tuple[int, int]]] = [[] for _ in range(free)]
-    for p, x, q in edges:
-        out[p].setdefault(x, []).append(q)
-        into[q].append((p, x ^ 1))
-
-    # reach[q] is q's epsilon closure and back[r] the states whose closure
-    # holds r; each pair (q, r) with r in reach[q] is queued once, when r
-    # joins reach[q], and then adds the shortcut p ~~> s of every
-    # configuration p --x--> q ~~> r --x^-1--> s
-    reach: list[set[int]] = [{q} for q in range(free)]
-    back: list[set[int]] = [{q} for q in range(free)]
-    queue: list[tuple[int, int]] = [(q, q) for q in range(free)]
-
-    def link(p: int, s: int) -> None:
-        eps.add((p, s))
-        for o in list(back[p]):
-            for r in reach[s] - reach[o]:
-                reach[o].add(r)
-                back[r].add(o)
-                queue.append((o, r))
-
-    for p, s in list(eps):  # the seed shortcut of an empty z_mid
-        link(p, s)
-    while queue:
-        q, r = queue.pop()
-        out_r = out[r]
-        for p, y in into[q]:
-            for s in out_r.get(y, ()):
-                if p != s and (p, s) not in eps:
-                    link(p, s)
-
-    return CosetAutomaton(free, initial, accepting, frozenset(edges), frozenset(eps),
-                          out, reach)
+    def _linked(self, x: int, y: int) -> bool:
+        """Whether the component of (x, y) in G_u x G_v holds a split pair."""
+        splits, gu, gv = self._splits, self._u, self._v
+        seen = {(x, y)}
+        stack = [(x, y)]
+        while stack:
+            pair = stack.pop()
+            if pair in splits:
+                return True
+            a, b = pair
+            step_b = gv[b]
+            for c, a2 in gu[a].items():
+                b2 = step_b.get(c)
+                if b2 is not None and (a2, b2) not in seen:
+                    seen.add((a2, b2))
+                    stack.append((a2, b2))
+        return False
 
 
 def double_coset_member(u: Word, z_mid: Word, v: Word, z: Word) -> bool:
     """Whether z lies in {u^a z_mid v^b : a, b in Z}."""
     if z.alphabet != u.alphabet:
         raise AlphabetMismatch("z over a different alphabet")
-    return build_coset_automaton(u, z_mid, v).accepts(z)
+    return CosetAutomaton(u, z_mid, v).accepts(z)
 
 
 def double_coset_member_bounded(u: Word, z_mid: Word, v: Word, z: Word,

@@ -23,7 +23,6 @@ from freefold.chain import (
     _finish,
     flag_parts,
 )
-from freefold.cosets import _add_cycle
 from freefold.graphs import SubgroupGraph, fold_subgroup
 from freefold.whitehead import Automorphism, BudgetExhausted, DEFAULT_BUDGET
 from freefold.words import (
@@ -459,6 +458,18 @@ def naive_extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> b
 # -- the round-based coset automaton -------------------------------------------
 
 
+def _add_cycle(edges: set[tuple[int, int, int]], start: int, word: Word,
+               next_free: int) -> int:
+    """Wire a bidirectional cycle spelling ``word`` through ``start``."""
+    n = len(word.letters)
+    states = [start] + list(range(next_free, next_free + n - 1))
+    for i, c in enumerate(word.letters):
+        a, b = states[i], states[(i + 1) % n]
+        edges.add((a, c, b))
+        edges.add((b, c ^ 1, a))
+    return next_free + n - 1
+
+
 def _eps_reach(n_states: int, eps: Iterable[tuple[int, int]]) -> list[set[int]]:
     """For each state, the states its epsilon paths reach, itself included."""
     succ: list[list[int]] = [[] for _ in range(n_states)]
@@ -512,8 +523,13 @@ def naive_build_coset_automaton(u: Word, z_mid: Word, v: Word) -> NaiveCosetAuto
     """Saturation in full rounds: recompute every epsilon closure, scan every
     pair of letter edges, repeat until a round adds no shortcut.
 
-    Test oracle for ``freefold.cosets.build_coset_automaton``, which must
-    build the same states and shortcuts and accept the same words.
+    The automaton spells u^a z_mid v^b: a cycle spelling u (walkable both
+    ways) at the initial state, a one-way arc spelling z_mid, and a cycle
+    spelling v at the accepting state.  A shortcut p ~~> s is added for
+    every p --x--> q ~~> r --x^-1--> s; each is witnessed by a path whose
+    label freely reduces away, and at the fixpoint the reduced word of
+    every member is accepted (Benois).  Test oracle for
+    ``freefold.cosets.CosetAutomaton``, which must accept the same words.
     """
     if not u or not v:
         raise DegenerateInput("double cosets need nontrivial cyclic sides")

@@ -193,6 +193,12 @@ def test_verify_flag_requires_index(capsys):
     assert code == 2 and "--i" in err
 
 
+@pytest.mark.parametrize("lemma", ["surface", "all", "separation"])
+def test_verify_index_with_another_lemma_is_usage_error(capsys, lemma):
+    code, out, err = run(capsys, "verify", "--n", "4", "--lemma", lemma, "--i", "1")
+    assert code == 2 and out == "" and "--i" in err
+
+
 def test_verify_injected_convention_flip_fails_with_residue(capsys):
     code, out, _ = run(
         capsys, "verify", "--n", "4", "--lemma", "all", "--max-len", "3",

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from freefold.cosets import (
-    build_coset_automaton,
+    CosetAutomaton,
+    _cyclic_graph,
+    _read,
     double_coset_member,
     double_coset_member_bounded,
     e0,
@@ -11,6 +13,7 @@ from freefold.cosets import (
     e2,
     e3,
 )
+from freefold.graphs import fold_subgroup
 from freefold.words import (
     Alphabet,
     AlphabetMismatch,
@@ -131,7 +134,7 @@ def test_automaton_language_against_enumeration():
     # on a small non-collapsing instance the recognized language must equal
     # the set of reduced forms of u^a z' v^b
     u, z_mid, v = AB.word("a b"), AB.word("b"), AB.word("b a")
-    auto = build_coset_automaton(u, z_mid, v)
+    auto = CosetAutomaton(u, z_mid, v)
     members = set()
     for a_exp in range(-4, 5):
         for b_exp in range(-4, 5):
@@ -148,9 +151,8 @@ def test_automaton_language_against_enumeration():
 
 def test_automaton_subset_run_is_functional():
     u, z_mid, v = AB.word("a"), AB.word("a"), AB.word("b")
-    auto = build_coset_automaton(u, z_mid, v)
-    # the epsilon shortcut from the initial to the accepting state must stay
-    # one-directional: a b a b is not in <a> a <b>
+    auto = CosetAutomaton(u, z_mid, v)
+    # <a> a <b> is not <a, b>: a b a b is not in it
     assert auto.accepts(AB.word("a^7 b^2"))
     assert not auto.accepts(AB.word("a b a b"))
     assert not auto.accepts(AB.word("b a"))
@@ -179,11 +181,11 @@ def _oracle_triple(rng, al, shape):
     return u, z_mid, v
 
 
-def test_worklist_saturation_matches_round_based_oracle():
+def test_folded_reading_matches_saturated_oracle():
     rng = random.Random(79)
     shapes = ("random", "empty", "letters", "same", "inverse", "powers", "conjugates")
-    # a shortcut chain: some closure grows after a state that reaches it
-    # took its closure, so the growth must be passed on
+    # a shortcut chain in the saturated oracle: some closure grows after a
+    # state that reaches it took its closure
     triples = [(AB.word("b a^-2"), AB.identity(), AB.word("b a^-1 b^-1"))]
     abc = Alphabet.parse("a,b,c")
     for i in range(2450):
@@ -191,19 +193,86 @@ def test_worklist_saturation_matches_round_based_oracle():
         triples.append(_oracle_triple(rng, al, shapes[i % len(shapes)]))
     for u, z_mid, v in triples:
         al = u.alphabet
-        fast = build_coset_automaton(u, z_mid, v)
+        fast = CosetAutomaton(u, z_mid, v)
         slow = naive_build_coset_automaton(u, z_mid, v)
-        assert (fast.n_states, fast.initial, fast.accepting) == (
-            slow.n_states, slow.initial, slow.accepting)
-        assert fast.letter_edges == slow.letter_edges
-        assert fast.eps == slow.eps
         a_exp, b_exp = rng.randint(-4, 4), rng.randint(-4, 4)
-        words = [multiply(multiply(u ** a_exp, z_mid), v ** b_exp),
-                 multiply(u ** a_exp, v ** b_exp)]
+        member = multiply(multiply(u ** a_exp, z_mid), v ** b_exp)
+        letter = al.generators()[rng.randrange(al.rank)] ** rng.choice((1, -1))
+        words = [member, multiply(member, letter)]
         words += [random_word(rng, al, 8) for _ in range(2)]
         for w in words:
             assert fast.accepts(w) == slow.accepts(w), (u, z_mid, v, w)
-        assert fast.accepts(words[0])
+        assert fast.accepts(member)
+
+
+def test_folded_reading_matches_saturated_oracle_on_all_short_words():
+    triples = [
+        ("a", "b", "b^-1 a^-1 b"),  # demo 05's collapsing family <r> s <s^-1 r^-1 s>
+        ("a", "b^-1 a b", "b^-1 a^-1 b"),
+        ("a b", "b", "b a"),
+        ("a", "a", "b"),
+        ("a", "1", "a b"),
+        ("a^2", "a", "a^-3"),
+        ("a b a^-1", "1", "a b^-1 a^-1"),
+        ("b a^-2", "1", "b a^-1 b^-1"),
+        ("a b", "1", "b^-1 a^-1"),
+        ("a b^2 a^-1 b", "b^-1 a", "a b^2 a^-1 b"),
+    ]
+    short = [w for length in range(6) for w in all_reduced_words(AB, length)]
+    for u, z_mid, v in triples:
+        u, z_mid, v = AB.word(u), AB.word(z_mid), AB.word(v)
+        fast = CosetAutomaton(u, z_mid, v)
+        slow = naive_build_coset_automaton(u, z_mid, v)
+        for w in short:
+            assert fast.accepts(w) == slow.accepts(w), (u, z_mid, v, w)
+
+
+def test_cyclic_graph_matches_fold_subgroup():
+    rng = random.Random(83)
+    sides = [AB.word(text) for text in ("a", "a^-3", "a b a^-1", "b^-2 a b^2",
+                                        "a b a b", "b a^-1 b a^-1 b a^-1")]
+    for _ in range(30):
+        w = random_word(rng, AB, 5, nonempty=True)
+        sides += [w, w ** rng.randint(2, 3), conjugate(w, random_word(rng, AB, 3))]
+    short = [w for length in range(7) for w in all_reduced_words(AB, length)]
+    for u in sides:
+        graph, folded = _cyclic_graph(u), fold_subgroup([u])
+        assert len(graph) == folded.n_vertices
+        for w in short:
+            path = _read(graph, w.letters)
+            read_home = len(path) == len(w) + 1 and path[-1] == 0
+            assert read_home == folded.contains(w), (u, w)
+
+
+def test_named_cases_reach_each_branch(monkeypatch):
+    linked = []
+    original = CosetAutomaton._linked
+
+    def recorded(self, x, y):
+        linked.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(CosetAutomaton, "_linked", recorded)
+    # z3 non-empty: z = (ab)^3 . b . (ba)^2 and z' = b = p z3 q with p, q empty
+    u, z_mid, v = AB.word("a b"), AB.word("b"), AB.word("b a")
+    assert double_coset_member(u, z_mid, v, AB.word("a b a b a b b b a b a"))
+    assert not double_coset_member(u, z_mid, v, AB.word("a b a b a b b^2 b a b a"))
+    assert linked == []
+    # z3 empty: r^20 reads round <r>, s backward into <s^-1 r^-1 s>
+    u, z_mid, v = RS.word("r"), RS.word("s"), RS.word("s^-1 r^-1 s")
+    assert double_coset_member(u, z_mid, v, RS.word("r^20 s"))
+    assert len(linked) == 1
+    assert not double_coset_member(u, z_mid, v, RS.word("r^5"))
+    assert len(linked) == 2
+    # r^20 s^2 leaves z3 = s, which z' = s cannot hold between its readings
+    assert not double_coset_member(u, z_mid, v, RS.word("r^20 s^2"))
+    assert len(linked) == 2
+    # b = a^-1 (a b): (0, 1) is not a split pair of z' = 1, but the product
+    # edge a^-1 links it to (0, 0), which is
+    auto = CosetAutomaton(AB.word("a"), AB.identity(), AB.word("a b"))
+    assert (0, 1) not in auto._splits
+    assert auto.accepts(AB.word("b"))
+    assert linked[-1] == (0, 1)
 
 
 def test_double_coset_agrees_with_bounded_search():
