@@ -26,8 +26,9 @@ with one stack, strip the cyclic cancellation and count.  The descent builds
 the ``Automorphism`` and the canonical forms of the first strictly shortening
 move only, and the level-set sweep canonicalises only candidates on the
 minimal level.  One generator, ``_type_two_moves``, enumerates the type-II
-moves in one fixed order for the searches and for ``whitehead_generators``;
-it builds each substitution table as it is asked for and keeps none.
+moves in one fixed order for the searches and for ``whitehead_generators``.
+It keeps one substitution table per multiplier and steps it as an odometer,
+rewriting only the slots whose choice changed since the previous move.
 """
 
 from __future__ import annotations
@@ -140,20 +141,34 @@ def _type_two_moves(
     independently to x, m x, x m^-1 or m x m^-1.  Moves come multiplier by
     multiplier, m = 0, 1, ..., 2r - 1, and for each in ``product`` order of
     those four choices, all-keep left out: 4^(r-1) - 1 moves per
-    multiplier.  Tables are built as they are asked for and share their
-    entries; none is kept.
+    multiplier.
+
+    Each multiplier has one table, stepped as an odometer.  In ``product``
+    order the last choice turns fastest: from one move to the next, the
+    trailing choices that wrapped to keep and the last nonzero choice before
+    them are the only ones that change, about 4/3 slots per move.  So the
+    step rewrites the slots from the end back to the first nonzero choice.
+    The yielded table is that one list, mutated in place by the next step:
+    a consumer reads it before asking for the next move and never keeps it.
     """
     r = alphabet.rank
-    letters = [(c,) for c in range(2 * r)]
     for m in range(2 * r):
         others = [g for g in range(r) if g != m >> 1]
-        pairs = [_image_pairs(m, 2 * g) for g in others]
-        for choice in product((_KEEP, _LEFT, _RIGHT, _CONJ), repeat=len(others)):
-            if not any(choice):  # all keep
-                continue
-            subst = letters.copy()
-            for g, pair, ch in zip(others, pairs, choice):
-                subst[2 * g], subst[2 * g + 1] = pair[ch]
+        codes = [2 * g for g in others]
+        pairs = [_image_pairs(m, x) for x in codes]
+        subst = [(c,) for c in range(2 * r)]
+        last = len(others) - 1
+        moves = product((_KEEP, _LEFT, _RIGHT, _CONJ), repeat=len(others))
+        next(moves)  # all keep, the identity
+        for choice in moves:
+            i = last
+            while True:
+                ch = choice[i]
+                x = codes[i]
+                subst[x], subst[x + 1] = pairs[i][ch]
+                if ch:
+                    break
+                i -= 1
             yield m, choice, subst
 
 

@@ -379,20 +379,23 @@ def is_conjugate(u: Word, v: Word) -> bool:
 def root(w: Word) -> tuple[Word, int]:
     """The maximal root: returns (r, k) with w = r^k, k maximal.
 
-    Handles conjugated powers: g u^k g^-1 has root g u g^-1.
+    Handles conjugated powers: g u^k g^-1 has root g u g^-1.  The period of
+    the cyclic core is the least d dividing its length n with the core
+    equal to its first d letters repeated n / d times.  The root is reduced
+    by construction, so it skips the reduction pass: prefix + core[:d] is a
+    prefix of w, and core[:d] ends with the core's last letter, which w
+    follows with the inverse prefix without cancelling.
     """
     if not w:
         raise DegenerateInput("the empty word has no root")
     prefix, core = _cyclic_strip(w.letters)
     n = len(core)
     period = n
-    for d in range(1, n):
-        if n % d == 0 and all(core[i] == core[i % d] for i in range(n)):
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and core == core[:d] * (n // d):
             period = d
             break
-    k = n // period
-    r = Word(w.alphabet, prefix + core[:period] + _inverse(prefix))
-    return r, k
+    return _reduced(w.alphabet, prefix + core[:period] + _inverse(prefix)), n // period
 
 
 def _same_root(rx: Word, ry: Word) -> bool:

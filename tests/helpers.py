@@ -57,6 +57,31 @@ def all_reduced_words(alphabet: Alphabet, length: int) -> list[Word]:
     return out
 
 
+def naive_root(w: Word) -> tuple[Word, int]:
+    """The maximal root (r, k), w = r^k, by testing every period letter by
+    letter and reducing the root through ``Word``.
+
+    Test oracle for ``freefold.words.root``, which compares slices and
+    builds the root without a reduction pass.
+    """
+    if not w:
+        raise DegenerateInput("the empty word has no root")
+    codes = w.letters
+    lo, hi = 0, len(codes)
+    while hi - lo >= 2 and codes[lo] == codes[hi - 1] ^ 1:
+        lo += 1
+        hi -= 1
+    prefix, core = codes[:lo], codes[lo:hi]
+    n = len(core)
+    period = n
+    for d in range(1, n):
+        if n % d == 0 and all(core[i] == core[i % d] for i in range(n)):
+            period = d
+            break
+    back = tuple(c ^ 1 for c in reversed(prefix))
+    return Word(w.alphabet, prefix + core[:period] + back), n // period
+
+
 def naive_least_rotation(codes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Lexicographically least rotation and its offset.  O(L^2) is fine here.
 

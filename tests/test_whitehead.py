@@ -7,6 +7,7 @@ from freefold.abelian import exponent_vector
 from freefold.whitehead import (
     Automorphism,
     BudgetExhausted,
+    _type_two_moves,
     extends_to_basis,
     is_primitive,
     minimize_tuple,
@@ -58,6 +59,20 @@ def test_type_two_moves_match_oracle_enumeration():
         for f, g in zip(twos, want, strict=True):
             assert f.images == g.images
             assert f.inverse_images == g.inverse_images
+
+
+def test_type_two_tables_match_oracle_images():
+    # the yielded table is mutated by the next step, so each is copied
+    # as it comes
+    for rank in (1, 2, 3, 4, 5):
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        tables = [tuple(subst) for _, _, subst in _type_two_moves(al)]
+        want = naive_type_two(al)
+        assert len(tables) == len(want) == 2 * rank * (4 ** (rank - 1) - 1)
+        for subst, f in zip(tables, want):
+            for g, img in enumerate(f.images):
+                assert subst[2 * g] == img.letters
+                assert subst[2 * g + 1] == invert(img).letters
 
 
 def test_generator_counts_rank_one():

@@ -26,7 +26,7 @@ from freefold.words import (
     restrict_word,
     root,
 )
-from helpers import naive_least_rotation, random_word
+from helpers import naive_least_rotation, naive_root, random_word
 
 AB = Alphabet.parse("a0,b0")
 BIG = Alphabet.parse("c0,a0,b0,t0")
@@ -272,6 +272,26 @@ def test_root_properties():
         assert r**m == power
         assert root(r) == (r, 1)
         assert m % k == 0
+
+
+def test_root_matches_period_by_period_oracle():
+    rng = random.Random(41)
+    al = Alphabet.parse("a0,b0,c0")
+    periodic = aperiodic = 0
+    for _ in range(3000):
+        u = random_word(rng, al, 6, nonempty=True)
+        if rng.random() < 0.3:  # a proper power as the base
+            u = u ** rng.randint(2, 3)
+        w = conjugate(u ** rng.randint(1, 5), random_word(rng, al, 4))
+        # the oracle reduces its root through Word, so equal letters also
+        # show that root built a reduced word
+        r, k = root(w)
+        assert (r, k) == naive_root(w)
+        if k > 1:
+            periodic += 1
+        else:
+            aperiodic += 1
+    assert periodic > 1000 and aperiodic > 300
 
 
 def test_pow_matches_repeated_multiplication():
