@@ -5,7 +5,8 @@ All arithmetic is exact (Python bignums), so entries cannot overflow.
 ``smith_normal_form`` computes only the elementary divisors; the
 unimodular factors are never needed here.  The extendability test needs
 less still: whether the maximal minors are coprime, which column
-reduction answers with one extended gcd per pair of columns.
+reduction answers with one extended gcd per pair of columns; the last row
+is decided by the gcd of its remaining entries alone, with no column step.
 """
 
 from __future__ import annotations
@@ -118,6 +119,13 @@ def is_basis_extendable_abelian(vectors: Sequence[Sequence[int]]) -> bool:
     So the rows extend iff every g_i is 1, and the first g_i != 1 answers
     False without reducing further.
 
+    Only the rows below row i are stepped: the step sends row i's own pair
+    to (x a + y b, a/g b - b/g a) = (g, 0), so that pair is written
+    directly.  The last row takes no steps at all: g_{k-1} is the gcd of its
+    entries from column k - 1 on, which its own steps would only collect
+    into one entry, and no row is below it.  So once every earlier g_i is 1,
+    the answer is whether g_{k-1} is 1.
+
     The minor criterion itself: if every g_i is 1, stacking [0 | I] under MU
     gives a unimodular matrix, and times U^-1 it extends M.  If M is the top
     of a unimodular N, expanding det N = +-1 along those k rows (Laplace)
@@ -140,19 +148,22 @@ def is_basis_extendable_abelian(vectors: Sequence[Sequence[int]]) -> bool:
     k, n = len(m), len(m[0])
     if k > n:
         return False
-    for i in range(k):
+    last = k - 1
+    for i in range(last):
         row = m[i]
         if gcd(*row[i:]) != 1:
             return False
+        below = m[i + 1:]
         for j in range(i + 1, n):
             a, b = row[i], row[j]
             if not b:
                 continue
             g = gcd(a, b)
+            row[i], row[j] = g, 0
             a, b = a // g, b // g
             x = pow(a, -1, abs(b))
             y = (1 - x * a) // b
-            for r in m[i:]:
+            for r in below:
                 ri, rj = r[i], r[j]
                 r[i], r[j] = x * ri + y * rj, a * rj - b * ri
-    return True
+    return gcd(*m[last][last:]) == 1

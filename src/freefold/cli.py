@@ -3,7 +3,9 @@
 Exit codes: 0 = pass / true, 1 = fail / false, 2 = usage or input error,
 3 = undecided: a search ran out of its budget before it could answer
 (``primitive --budget``; ``verify`` when a report is budget-exhausted and
-none failed).  ``--budget`` and ``--max-len`` must be at least 1.
+none failed).  ``--budget`` and ``--max-len`` must be at least 1.  ``eq``
+takes ``--m`` for e1/e2 and ``--p``/``--q`` for e3 only (each 1 by default);
+an exponent option the relation does not take is a usage error.
 Reports print as text or as JSON objects with the stable schema
 {"check", "params", "status", "witnesses", "elapsed_ms"}; in JSON mode the
 notes of skipped checks go to stderr.
@@ -121,10 +123,17 @@ def _cmd_member(args) -> int:
     return 0 if result else 1
 
 
+EQ_OPTIONS = {"e0": (), "e1": ("m",), "e2": ("m",), "e3": ("p", "q")}
+
+
 def _cmd_eq(args) -> int:
+    relation = args.relation
+    for option in ("m", "p", "q"):
+        if getattr(args, option) is not None and option not in EQ_OPTIONS[relation]:
+            raise ValueError(f"--{option} does not apply to {relation}")
+    m, p, q = (1 if value is None else value for value in (args.m, args.p, args.q))
     alphabet = _alphabet(args.alphabet)
     words = [_word(w, alphabet) for w in args.words]
-    relation = args.relation
     if relation == "e0":
         if len(words) != 2:
             raise ValueError("e0 takes 2 words: x y")
@@ -133,11 +142,11 @@ def _cmd_eq(args) -> int:
         if len(words) != 4:
             raise ValueError(f"{relation} takes 4 words: x y x' y'")
         fn = e1 if relation == "e1" else e2
-        result = fn(args.m, *words)
+        result = fn(m, *words)
     else:
         if len(words) != 6:
             raise ValueError("e3 takes 6 words: x y z x' y' z'")
-        result = e3(args.p, args.q, *words)
+        result = e3(p, q, *words)
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -202,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq", help="decide a basic equivalence relation")
     p.add_argument("relation", choices=["e0", "e1", "e2", "e3"])
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--m", type=int, help="e1/e2 exponent (default 1)")
+    p.add_argument("--p", type=int, help="e3 exponent on the x side (default 1)")
+    p.add_argument("--q", type=int, help="e3 exponent on the y side (default 1)")
     p.add_argument("words", nargs="+")
     p.set_defaults(fn=_cmd_eq)
 

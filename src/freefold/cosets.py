@@ -42,9 +42,16 @@ Q(y), and their product is p' q'.  So z' is a member exactly when some
 split z' = p' q' has p' in P(x') and q' in Q(y') with (x', y') in the
 component of (x, y) in the product graph.
 
-How far the prefixes of z' read forward into G_u, how far its suffixes
-read backward into G_v, and so the split pairs (x', y'), depend only on
-(u, z', v): the recognizer computes them once and then answers any z.
+How far the prefixes of z' read forward into G_u and how far its suffixes
+read backward into G_v depend only on (u, z', v): the recognizer computes
+them once and then answers any z.  The split pairs (x', y') follow from
+them, and only the product branch (z3 empty) reads them, so they are built
+on the first query that reaches it.
+
+E3 takes the maximal roots of its anchors once each, as (stem, period)
+letter codes (``words._cyclic_root``), compares them on the codes, and
+builds the graph of <r^p>, r = alpha R alpha^-1, straight from the stem
+alpha and the core R^p, with no power formed and no second strip.
 """
 
 from __future__ import annotations
@@ -53,20 +60,27 @@ from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
+    _cyclic_root,
     _cyclic_strip,
     _inverse,
     _same_root,
     invert,
     is_conjugate,
     multiply,
-    root,
 )
+
+Codes = tuple[int, ...]
 
 
 def _cyclic_graph(w: Word) -> list[dict[int, int]]:
     """Step dicts of the folded graph of <w>, base 0: a stem spelling alpha,
     then a cycle spelling U, for w = alpha U alpha^-1."""
-    stem, core = _cyclic_strip(w.letters)
+    return _stem_cycle(*_cyclic_strip(w.letters))
+
+
+def _stem_cycle(stem: Codes, core: Codes) -> list[dict[int, int]]:
+    """The graph of ``_cyclic_graph`` for w = stem core stem^-1, given the
+    split: core nonempty and cyclically reduced, and w reduced."""
     joint, n = len(stem), len(stem) + len(core)
     steps: list[dict[int, int]] = [{} for _ in range(n)]
     for a, c in enumerate(stem + core):
@@ -92,23 +106,43 @@ class CosetAutomaton:
     """Recognizer for the reduced words of <u> z_mid <v>, over the folded
     graphs of <u> and <v> and the two readings of z_mid."""
 
-    __slots__ = ("_u", "_v", "_mid", "_pre", "_suf", "_splits")
+    __slots__ = ("_u", "_v", "_mid", "_pre", "_suf", "_split_pairs")
 
     def __init__(self, u: Word, z_mid: Word, v: Word):
         if not u or not v:
             raise DegenerateInput("double cosets need nontrivial cyclic sides")
         if u.alphabet != z_mid.alphabet or u.alphabet != v.alphabet:
             raise AlphabetMismatch("double-coset pieces over mixed alphabets")
-        self._u = _cyclic_graph(u)
-        self._v = _cyclic_graph(v)
-        mid = self._mid = z_mid.letters
+        self._wire(_cyclic_graph(u), z_mid.letters, _cyclic_graph(v))
+
+    @classmethod
+    def _of_splits(cls, u_split: tuple[Codes, Codes], mid: Codes,
+                   v_split: tuple[Codes, Codes]) -> "CosetAutomaton":
+        """The recognizer for <u> mid <v>, each side given as its (stem,
+        core) split, unchecked; see ``_stem_cycle``."""
+        auto = object.__new__(cls)
+        auto._wire(_stem_cycle(*u_split), mid, _stem_cycle(*v_split))
+        return auto
+
+    def _wire(self, gu: list[dict[int, int]], mid: Codes,
+              gv: list[dict[int, int]]) -> None:
+        self._u, self._v, self._mid = gu, gv, mid
         # pre[k]: where mid[:k] reads to from the base of G_u; suf[j]: where
         # the last j letters of mid read to backward from the base of G_v
-        pre = self._pre = _read(self._u, mid)
-        suf = self._suf = _read(self._v, _inverse(mid))
-        n = len(mid)
-        self._splits = {(pre[k], suf[n - k])
-                        for k in range(max(0, n + 1 - len(suf)), len(pre))}
+        self._pre = _read(gu, mid)
+        self._suf = _read(gv, _inverse(mid))
+        self._split_pairs = None
+
+    @property
+    def _splits(self) -> set[tuple[int, int]]:
+        """The split pairs (pre[k], suf[n - k]) of z_mid, built on first use:
+        only the product branch of ``accepts`` reads them."""
+        splits = self._split_pairs
+        if splits is None:
+            pre, suf, n = self._pre, self._suf, len(self._mid)
+            splits = self._split_pairs = {
+                (pre[k], suf[n - k]) for k in range(max(0, n + 1 - len(suf)), len(pre))}
+        return splits
 
     def accepts(self, w: Word) -> bool:
         letters = w.letters
@@ -179,13 +213,13 @@ def _cyclic_coset(relation: str, m: int, x: Word, x2: Word, t: Word) -> bool:
         raise AlphabetMismatch("y over a different alphabet from x")
     if x2.alphabet != x.alphabet:
         raise AlphabetMismatch("x' over a different alphabet from x")
-    rx = root(x)[0]
-    if not _same_root(rx, root(x2)[0]):
+    rx = _cyclic_root(x.letters)
+    if not _same_root(rx, _cyclic_root(x2.letters)):
         return False
     if not t:
         return True
-    rt, k = root(t)
-    return _same_root(rx, rt) and k % m == 0
+    rt = _cyclic_root(t.letters)
+    return _same_root(rx, rt) and rt[2] % m == 0
 
 
 def e0(x: Word, y: Word) -> bool:
@@ -217,10 +251,11 @@ def e3(p: int, q: int, x: Word, y: Word, z: Word,
         raise DegenerateInput("E3 requires nontrivial centralizer anchors")
     if any(w.alphabet != x.alphabet for w in (y, z, x2, y2, z2)):
         raise AlphabetMismatch("E3 words over mixed alphabets")
-    rx = root(x)[0]
-    if not _same_root(rx, root(x2)[0]):
+    sx, px, _ = rx = _cyclic_root(x.letters)
+    if not _same_root(rx, _cyclic_root(x2.letters)):
         return False
-    ry = root(y)[0]
-    if not _same_root(ry, root(y2)[0]):
+    sy, py, _ = ry = _cyclic_root(y.letters)
+    if not _same_root(ry, _cyclic_root(y2.letters)):
         return False
-    return double_coset_member(rx ** p, z2, ry ** q, z)
+    # r^p = stem period^p stem^-1, already split
+    return CosetAutomaton._of_splits((sx, px * p), z2.letters, (sy, py * q)).accepts(z)

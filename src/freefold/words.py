@@ -376,31 +376,45 @@ def is_conjugate(u: Word, v: Word) -> bool:
     return cyclic_canonical(u).letters == cyclic_canonical(v).letters
 
 
+def _cyclic_root(codes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Split reduced, nonempty ``codes`` as stem + period^k + stem^-1, with
+    the period cyclically reduced and k maximal; returns (stem, period, k).
+
+    The word's maximal root is stem + period + stem^-1.  The period is the
+    least d dividing the length n of the cyclic core with the core equal to
+    its first d letters repeated n / d times.  The inverse word splits with
+    the same stem, the inverse period and the same k: its core is the
+    inverse of a cyclically reduced core, so the strip stops at the same
+    place, and a proper power of the inverse period would invert to one of
+    the period.
+    """
+    stem, core = _cyclic_strip(codes)
+    n = len(core)
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and core == core[:d] * (n // d):
+            return stem, core[:d], n // d
+    return stem, core, 1
+
+
 def root(w: Word) -> tuple[Word, int]:
     """The maximal root: returns (r, k) with w = r^k, k maximal.
 
-    Handles conjugated powers: g u^k g^-1 has root g u g^-1.  The period of
-    the cyclic core is the least d dividing its length n with the core
-    equal to its first d letters repeated n / d times.  The root is reduced
-    by construction, so it skips the reduction pass: prefix + core[:d] is a
-    prefix of w, and core[:d] ends with the core's last letter, which w
-    follows with the inverse prefix without cancelling.
+    Handles conjugated powers: g u^k g^-1 has root g u g^-1.  The root is
+    reduced by construction, so it skips the reduction pass: stem + period
+    is a prefix of w, and the period ends with the core's last letter, which
+    w follows with the inverse stem without cancelling.
     """
     if not w:
         raise DegenerateInput("the empty word has no root")
-    prefix, core = _cyclic_strip(w.letters)
-    n = len(core)
-    period = n
-    for d in range(1, n // 2 + 1):
-        if n % d == 0 and core == core[:d] * (n // d):
-            period = d
-            break
-    return _reduced(w.alphabet, prefix + core[:period] + _inverse(prefix)), n // period
+    stem, period, k = _cyclic_root(w.letters)
+    return _reduced(w.alphabet, stem + period + _inverse(stem)), k
 
 
-def _same_root(rx: Word, ry: Word) -> bool:
-    """Whether two maximal roots generate the same cyclic group."""
-    return rx == ry or rx == invert(ry)
+def _same_root(a: tuple, b: tuple) -> bool:
+    """Whether two ``_cyclic_root`` splits have roots that generate the same
+    cyclic group, that is, equal or inverse roots: the same stem, and equal
+    or inverse periods."""
+    return a[0] == b[0] and (a[1] == b[1] or a[1] == _inverse(b[1]))
 
 
 def centralizer_equal(x: Word, y: Word) -> bool:
@@ -408,7 +422,7 @@ def centralizer_equal(x: Word, y: Word) -> bool:
     if not x or not y:
         raise DegenerateInput("centralizers are compared for nontrivial words only")
     _check_same_alphabet(x, y)
-    return _same_root(root(x)[0], root(y)[0])
+    return _same_root(_cyclic_root(x.letters), _cyclic_root(y.letters))
 
 
 # -- text grammar ----------------------------------------------------------

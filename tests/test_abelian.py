@@ -160,6 +160,19 @@ def test_column_reduction_matches_smith_normal_form_oracle():
             elif q % 5 == 2 and k > 1:
                 rows[rng.randrange(k)] = list(rows[rng.randrange(k)])
         assert is_basis_extendable_abelian(rows) == naive_is_basis_extendable_abelian(rows), rows
+    # decided at the last row: the rows above it belong to a unimodular
+    # matrix, so each passes its gcd test; the last row is kept (True) or
+    # scaled by d >= 2 (False), with k = n and k < n
+    for q in range(800):
+        n = rng.randint(2, 6)
+        k = n if q % 2 else rng.randint(1, n - 1)
+        rows = [list(r) for r in _unimodular_rows(rng, n)[:k]]
+        extendable = q % 4 < 2
+        if not extendable:
+            d = rng.randint(2, 9)
+            rows[-1] = [d * x for x in rows[-1]]
+        assert naive_is_basis_extendable_abelian(rows) == extendable, rows
+        assert is_basis_extendable_abelian(rows) == extendable, rows
 
 
 def test_unimodular_rows_extend_and_scaled_rows_do_not():

@@ -102,6 +102,12 @@ def test_eq_subcommands(capsys):
         capsys, "eq", "e2", "--alphabet", "a,b", "--m", "2", "a", "b", "a", "a^3 b"
     )[0] == 1
     assert run(
+        capsys, "eq", "e1", "--alphabet", "a,b", "--m", "2", "a", "b", "a", "b a^3"
+    )[0] == 1
+    assert run(
+        capsys, "eq", "e2", "--alphabet", "a,b", "--m", "2", "a", "b", "a", "a^4 b"
+    )[0] == 0
+    assert run(
         capsys, "eq", "e3", "--alphabet", "a,b", "--p", "1", "--q", "1",
         "a", "b", "a^2 b^3", "a", "b", "1",
     )[0] == 0
@@ -110,6 +116,29 @@ def test_eq_subcommands(capsys):
 def test_eq_arity_error(capsys):
     code, _, err = run(capsys, "eq", "e0", "--alphabet", "a,b", "a")
     assert code == 2 and "takes 2 words" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["e3", "--alphabet", "a,b", "--m", "3", "a", "b", "a", "a", "b", "a"], "--m"),
+    (["e0", "--alphabet", "a,b", "--m", "2", "a", "a"], "--m"),
+    (["e1", "--alphabet", "a,b", "--p", "2", "--q", "2", "a", "b", "a", "b"], "--p"),
+    (["e2", "--alphabet", "a,b", "--q", "1", "a", "b", "a", "b"], "--q"),
+    (["e0", "--alphabet", "a,b", "--p", "1", "a", "a"], "--p"),
+])
+def test_eq_option_the_relation_does_not_take_is_usage_error(capsys, argv, option):
+    code, out, err = run(capsys, "eq", *argv)
+    assert (code, out) == (2, "") and option in err
+
+
+def test_eq_exponent_options_default_to_one_where_they_apply(capsys):
+    # a b a^-1 b^-1 = a^1 (b a^-1 b^-1) b^0, so with p = 1 it is in E3, and
+    # with p = 2 the odd a-exponent keeps it out
+    e3 = ["e3", "--alphabet", "a,b", "a", "b", "a b a^-1 b^-1", "a", "b", "b a^-1 b^-1"]
+    assert run(capsys, "eq", *e3)[0] == run(capsys, "eq", "--p", "1", *e3)[0] == 0
+    assert run(capsys, "eq", "--p", "2", *e3)[0] == 1
+    e1 = ["e1", "--alphabet", "a,b", "a", "b", "a", "b a"]
+    assert run(capsys, "eq", *e1)[0] == run(capsys, "eq", "--m", "1", *e1)[0] == 0
+    assert run(capsys, "eq", "--m", "2", *e1)[0] == 1
 
 
 def test_eq_library_input_errors_exit_2_with_its_message(capsys):

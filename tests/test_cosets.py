@@ -18,12 +18,18 @@ from freefold.words import (
     Alphabet,
     AlphabetMismatch,
     DegenerateInput,
+    Word,
     conjugate,
     invert,
     multiply,
     root,
 )
-from helpers import all_reduced_words, naive_build_coset_automaton, random_word
+from helpers import (
+    all_reduced_words,
+    naive_build_coset_automaton,
+    naive_root,
+    random_word,
+)
 
 AB = Alphabet.parse("a,b")
 RS = Alphabet.parse("r,s")
@@ -319,6 +325,71 @@ def test_e3_preconditions():
         e3(0, 1, a, b, a, a, b, a)
     with pytest.raises(DegenerateInput):
         e3(1, 1, AB.identity(), b, a, a, b, a)
+
+
+def _e3_anchor(rng, al):
+    """A seeded maximal root r, with a stem about half the time, and an
+    anchor r^k, |k| <= 3, so about two thirds are proper powers."""
+    w = random_word(rng, al, 4, nonempty=True)
+    g = random_word(rng, al, 3) if rng.random() < 0.5 else al.identity()
+    r = naive_root(conjugate(w, g))[0]
+    return r, r ** rng.choice((1, 2, 3, -1, -2, -3))
+
+
+def _e3_partner(rng, al, r):
+    """x' for the anchor root r: r^{+-k}, or an unrelated word."""
+    if rng.random() < 0.75:
+        return r ** rng.choice((1, 2, 3, -1, -2, -3))
+    return random_word(rng, al, 5, nonempty=True)
+
+
+def test_e3_matches_root_and_saturated_oracle(monkeypatch):
+    linked = []
+    original = CosetAutomaton._linked
+
+    def recorded(self, x, y):
+        linked.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(CosetAutomaton, "_linked", recorded)
+    rng = random.Random(89)
+    seen = {"stem": 0, "power": 0, "inverse": 0, "product": 0, "reading": 0, "no": 0}
+    for i in range(700):
+        al = AB if i % 2 else Alphabet.parse("a,b,c")
+        rx, x = _e3_anchor(rng, al)
+        ry, y = _e3_anchor(rng, al)
+        x2, y2 = _e3_partner(rng, al, rx), _e3_partner(rng, al, ry)
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        shape = i % 4
+        if shape == 0:
+            z2 = al.identity()
+        elif shape == 1:  # a piece of a root, so that z often reads through
+            z2 = Word(al, rng.choice((rx, ry)).letters[: rng.randint(1, 4)])
+        else:
+            z2 = random_word(rng, al, 5)
+        if rng.random() < 0.7:
+            z = multiply(multiply(rx ** (p * rng.randint(-3, 3)), z2),
+                         ry ** (q * rng.randint(-3, 3)))
+        else:
+            z = random_word(rng, al, 8)
+
+        # the oracle: roots letter by letter, then the saturated automaton
+        # on the powered roots, each power reduced through Word
+        nx, nx2, ny, ny2 = (naive_root(w)[0] for w in (x, x2, y, y2))
+        same_c = nx2 in (nx, invert(nx)) and ny2 in (ny, invert(ny))
+        expected = same_c and naive_build_coset_automaton(
+            Word(al, nx.letters * p), z2, Word(al, ny.letters * q)).accepts(z)
+        before = len(linked)
+        assert e3(p, q, x, y, z, x2, y2, z2) == expected, (p, q, x, y, z, x2, y2, z2)
+
+        seen["stem"] += rx.letters[0] == rx.letters[-1] ^ 1
+        seen["power"] += naive_root(x)[1] > 1
+        seen["inverse"] += expected and nx2 != nx
+        if expected:
+            seen["product" if len(linked) > before else "reading"] += 1
+        else:
+            seen["no"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_e1_consistent_with_double_coset_on_trivial_side():
