@@ -1,23 +1,11 @@
 #!/usr/bin/env python3
 """Whitehead moves: length descent, primitivity, basis extension."""
 
-from freefold import (
-    Alphabet,
-    extends_to_basis,
-    is_primitive,
-    minimize_tuple,
-    whitehead_generators,
-)
+from freefold import Alphabet, extends_to_basis, is_primitive, minimize_tuple
 
 F2 = Alphabet.parse("a,b")
 w = F2.word
 
-print("== the generating moves ==")
-autos = whitehead_generators(F2)
-print(f"rank 2 has {len(autos)} Whitehead generators")
-print("a sample move:", autos[-1])
-
-print()
 print("== descent ==")
 for text in ("a b a^-1", "a a b", "a b a^-1 b^-1"):
     minimal, moves = minimize_tuple([w(text)])

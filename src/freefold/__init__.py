@@ -40,7 +40,6 @@ from .whitehead import (
     extends_to_basis,
     is_primitive,
     minimize_tuple,
-    whitehead_generators,
 )
 from .words import (
     Alphabet,

@@ -7,12 +7,9 @@ word for arbitrarily large exponents), so we decide it exactly by reading
 words into the Stallings folded graphs of H and K.
 
 Write u = alpha U alpha^-1 with U cyclically reduced.  The graph G_u of H is
-a stem spelling alpha from the base, then a cycle spelling U.  It is folded
-as built: at the joint the last letter of alpha (walked back), the first
-letter of U and the last letter of U (walked back) are three different
-labels, because u is reduced and U cyclically reduced.  Each vertex keeps
-one step dict, letter code -> vertex, holding its edges in both
-directions.  In a folded graph a reduced word has at most one path from a
+a stem spelling alpha from the base, then a cycle spelling U, folded as
+built; ``graphs._stem_cycle`` builds it in the step-dict format of
+``graphs``.  In a folded graph a reduced word has at most one path from a
 vertex, and the reduced words that read from the base to a vertex x are the
 coset H p for any one such word p; call that set P(x).  G_v is built the
 same way, and Q(y) is the set of reduced words that read backward from its
@@ -56,7 +53,9 @@ alpha and the core R^p, with no power formed and no second strip.
 
 from __future__ import annotations
 
+from .graphs import _read, _stem_cycle
 from .words import (
+    Alphabet,
     AlphabetMismatch,
     DegenerateInput,
     Word,
@@ -72,61 +71,32 @@ from .words import (
 Codes = tuple[int, ...]
 
 
-def _cyclic_graph(w: Word) -> list[dict[int, int]]:
-    """Step dicts of the folded graph of <w>, base 0: a stem spelling alpha,
-    then a cycle spelling U, for w = alpha U alpha^-1."""
-    return _stem_cycle(*_cyclic_strip(w.letters))
-
-
-def _stem_cycle(stem: Codes, core: Codes) -> list[dict[int, int]]:
-    """The graph of ``_cyclic_graph`` for w = stem core stem^-1, given the
-    split: core nonempty and cyclically reduced, and w reduced."""
-    joint, n = len(stem), len(stem) + len(core)
-    steps: list[dict[int, int]] = [{} for _ in range(n)]
-    for a, c in enumerate(stem + core):
-        b = a + 1 if a + 1 < n else joint
-        steps[a][c] = b
-        steps[b][c ^ 1] = a
-    return steps
-
-
-def _read(steps: list[dict[int, int]], letters) -> list[int]:
-    """The vertices passed reading ``letters`` from the base, as far as they read."""
-    path = [0]
-    x = 0
-    for c in letters:
-        x = steps[x].get(c)
-        if x is None:
-            break
-        path.append(x)
-    return path
-
-
 class CosetAutomaton:
     """Recognizer for the reduced words of <u> z_mid <v>, over the folded
     graphs of <u> and <v> and the two readings of z_mid."""
 
-    __slots__ = ("_u", "_v", "_mid", "_pre", "_suf", "_split_pairs")
+    __slots__ = ("_alphabet", "_u", "_v", "_mid", "_pre", "_suf", "_split_pairs")
 
     def __init__(self, u: Word, z_mid: Word, v: Word):
         if not u or not v:
             raise DegenerateInput("double cosets need nontrivial cyclic sides")
         if u.alphabet != z_mid.alphabet or u.alphabet != v.alphabet:
             raise AlphabetMismatch("double-coset pieces over mixed alphabets")
-        self._wire(_cyclic_graph(u), z_mid.letters, _cyclic_graph(v))
+        self._wire(u.alphabet, _stem_cycle(*_cyclic_strip(u.letters)), z_mid.letters,
+                   _stem_cycle(*_cyclic_strip(v.letters)))
 
     @classmethod
-    def _of_splits(cls, u_split: tuple[Codes, Codes], mid: Codes,
+    def _of_splits(cls, alphabet: Alphabet, u_split: tuple[Codes, Codes], mid: Codes,
                    v_split: tuple[Codes, Codes]) -> "CosetAutomaton":
-        """The recognizer for <u> mid <v>, each side given as its (stem,
-        core) split, unchecked; see ``_stem_cycle``."""
+        """The recognizer for <u> mid <v> over ``alphabet``, each side given
+        as its (stem, core) split, unchecked; see ``graphs._stem_cycle``."""
         auto = object.__new__(cls)
-        auto._wire(_stem_cycle(*u_split), mid, _stem_cycle(*v_split))
+        auto._wire(alphabet, _stem_cycle(*u_split), mid, _stem_cycle(*v_split))
         return auto
 
-    def _wire(self, gu: list[dict[int, int]], mid: Codes,
+    def _wire(self, alphabet: Alphabet, gu: list[dict[int, int]], mid: Codes,
               gv: list[dict[int, int]]) -> None:
-        self._u, self._v, self._mid = gu, gv, mid
+        self._alphabet, self._u, self._v, self._mid = alphabet, gu, gv, mid
         # pre[k]: where mid[:k] reads to from the base of G_u; suf[j]: where
         # the last j letters of mid read to backward from the base of G_v
         self._pre = _read(gu, mid)
@@ -145,6 +115,8 @@ class CosetAutomaton:
         return splits
 
     def accepts(self, w: Word) -> bool:
+        if w.alphabet is not self._alphabet and w.alphabet != self._alphabet:
+            raise AlphabetMismatch("word alphabet differs from double-coset alphabet")
         letters = w.letters
         # z1 = letters[:i] reads from the base of G_u to x, then
         # z4 = letters[j:] reads backward from the base of G_v to y
@@ -184,8 +156,6 @@ class CosetAutomaton:
 
 def double_coset_member(u: Word, z_mid: Word, v: Word, z: Word) -> bool:
     """Whether z lies in {u^a z_mid v^b : a, b in Z}."""
-    if z.alphabet != u.alphabet:
-        raise AlphabetMismatch("z over a different alphabet")
     return CosetAutomaton(u, z_mid, v).accepts(z)
 
 
@@ -258,4 +228,5 @@ def e3(p: int, q: int, x: Word, y: Word, z: Word,
     if not _same_root(ry, _cyclic_root(y2.letters)):
         return False
     # r^p = stem period^p stem^-1, already split
-    return CosetAutomaton._of_splits((sx, px * p), z2.letters, (sy, py * q)).accepts(z)
+    return CosetAutomaton._of_splits(
+        x.alphabet, (sx, px * p), z2.letters, (sy, py * q)).accepts(z)

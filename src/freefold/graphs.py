@@ -10,6 +10,12 @@ generator letters.  The folded graph is independent of the merge order
 (Stallings 1983), and vertices are relabeled by a breadth-first traversal,
 so the output is canonical: equal subgroups produce identical graphs.
 
+Every graph here, the fold's and the cyclic graphs that ``cosets`` reads,
+has one format: one step dict per vertex, keyed by letter code, with
+``steps[v][c] = w`` for an edge v --c--> w.  Each edge is held at both
+ends, c at its tail and c ^ 1 at its head, so a letter or its inverse
+steps the same way, and a loop puts two entries in its vertex's dict.
+
 The fold leaves no dangling tree away from the base (see
 ``fold_subgroup``).  A spur hanging from the base (as in the graph of
 <a b a^-1>) is kept on purpose: membership then reads off closed base paths
@@ -23,17 +29,75 @@ from typing import Sequence
 
 from .words import Alphabet, AlphabetMismatch, Word, _inverse, invert, multiply
 
+Steps = Sequence[dict[int, int]]
+
+
+def _out_then_in(c: int) -> tuple[int, int]:
+    """Traversal order of a vertex's codes: out-edges by generator (even
+    codes ascending), then in-edges by generator (odd codes ascending)."""
+    return c & 1, c
+
+
+def _stem_cycle(stem: tuple[int, ...], core: tuple[int, ...]) -> list[dict[int, int]]:
+    """Step dicts of the folded graph of <w>, w = stem core stem^-1, base 0:
+    a path spelling the stem, then a cycle spelling the core.
+
+    Given the split with core nonempty and cyclically reduced and w reduced,
+    the graph is folded as built: at the joint the last stem letter (walked
+    back), the first core letter and the last core letter (walked back) are
+    three different labels.  Its vertices are numbered along the stem and
+    the core, not canonically: ``_canonical`` renumbers them as the fold does.
+    """
+    joint, n = len(stem), len(stem) + len(core)
+    steps: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, c in enumerate(stem + core):
+        b = a + 1 if a + 1 < n else joint
+        steps[a][c] = b
+        steps[b][c ^ 1] = a
+    return steps
+
+
+def _read(steps: Steps, letters) -> list[int]:
+    """The vertices passed reading ``letters`` from the base, as far as they read."""
+    path = [0]
+    x = 0
+    for c in letters:
+        x = steps[x].get(c)
+        if x is None:
+            break
+        path.append(x)
+    return path
+
+
+def _canonical(steps: Steps) -> tuple[dict[int, int], ...]:
+    """The graph renumbered by a breadth-first traversal from the base,
+    each vertex's codes taken in ``_out_then_in`` order.
+
+    Reads only the vertices the base reaches; their entries must name
+    vertices of ``steps``.
+    """
+    order: dict[int, int] = {0: 0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        step = steps[v]
+        for c in sorted(step, key=_out_then_in):
+            w = step[c]
+            if w not in order:
+                order[w] = len(order)
+                queue.append(w)
+    return tuple({c: order[w] for c, w in steps[v].items()} for v in order)
+
 
 class SubgroupGraph:
     """Immutable folded core graph of a finitely generated subgroup."""
 
-    __slots__ = ("alphabet", "n_vertices", "out", "inc", "generators_of", "_tree")
+    __slots__ = ("alphabet", "n_vertices", "steps", "generators_of", "_tree")
 
-    def __init__(self, alphabet, n_vertices, out, inc, generators_of):
+    def __init__(self, alphabet, n_vertices, steps, generators_of):
         self.alphabet = alphabet
         self.n_vertices = n_vertices
-        self.out = out  # out[v][g] = w  for an edge v --g--> w
-        self.inc = inc  # inc[w][g] = v  for the same edge
+        self.steps = steps  # steps[v][c] = w for an edge v --c--> w; see above
         self.generators_of = generators_of
         self._tree = None  # see _nontree_edges
 
@@ -41,73 +105,54 @@ class SubgroupGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(d) for d in self.out)
+        return sum(len(d) for d in self.steps) // 2
 
     def rank(self) -> int:
         return self.n_edges - self.n_vertices + 1
 
-    def walk(self, w: Word) -> int | None:
-        """Endpoint of the path spelling w from the base, or None if it dies."""
-        v = self.base
-        for c in w.letters:
-            g = c >> 1
-            v = self.inc[v].get(g) if c & 1 else self.out[v].get(g)
-            if v is None:
-                return None
-        return v
-
     def contains(self, w: Word) -> bool:
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word alphabet differs from graph alphabet")
-        return self.walk(w) == self.base
-
-    def _spanning_tree(self):
-        """BFS tree from the base; returns (path codes per vertex, tree edge set)."""
-        paths: list[tuple[int, ...] | None] = [None] * self.n_vertices
-        paths[self.base] = ()
-        tree: set[tuple[int, int, int]] = set()
-        queue = deque([self.base])
-        while queue:
-            v = queue.popleft()
-            for g in sorted(self.out[v]):
-                w = self.out[v][g]
-                if paths[w] is None:
-                    paths[w] = paths[v] + (2 * g,)
-                    tree.add((v, g, w))
-                    queue.append(w)
-            for g in sorted(self.inc[v]):
-                u = self.inc[v][g]
-                if paths[u] is None:
-                    paths[u] = paths[v] + (2 * g + 1,)
-                    tree.add((u, g, v))
-                    queue.append(u)
-        return paths, tree
+        steps, v = self.steps, self.base
+        for c in w.letters:
+            v = steps[v].get(c)
+            if v is None:
+                return False
+        return v == self.base
 
     def _nontree_edges(self):
-        """(tree path codes per vertex, non-tree edges, edge -> 1-based index).
+        """(tree path codes per vertex, non-tree edges, edge-end index).
 
+        The tree is breadth-first from the base, codes in ``_out_then_in``
+        order.  Vertex ids are that traversal's order (see ``_canonical``),
+        so one pass by id reaches each vertex after its tree path is known.
+        An edge read at its tail u, (u, c, v) with c even, is a tree edge
+        when it reaches v first or is the last edge of u's tree path.  The
+        non-tree edges are listed by tail and code, and the index keys the
+        i-th (1-based) at both ends: (u, c, v) -> i and (v, c ^ 1, u) -> -i.
         Built on first use and kept: the graph never changes.
         """
         if self._tree is None:
-            paths, tree = self._spanning_tree()
-            edges = []
-            for u in range(self.n_vertices):
-                for g in sorted(self.out[u]):
-                    v = self.out[u][g]
-                    if (u, g, v) not in tree:
-                        edges.append((u, g, v))
-            index = {e: i + 1 for i, e in enumerate(edges)}
+            paths: list[tuple[int, ...] | None] = [None] * self.n_vertices
+            paths[self.base] = ()
+            edges: list[tuple[int, int, int]] = []
+            index: dict[tuple[int, int, int], int] = {}
+            for u, step in enumerate(self.steps):
+                for c in sorted(step, key=_out_then_in):
+                    v = step[c]
+                    if paths[v] is None:
+                        paths[v] = paths[u] + (c,)
+                    elif not c & 1 and paths[u] != paths[v] + (c ^ 1,):
+                        edges.append((u, c, v))
+                        index[u, c, v], index[v, c ^ 1, u] = len(edges), -len(edges)
             self._tree = (paths, edges, index)
         return self._tree
 
     def basis(self) -> list[Word]:
         """A free basis read off a spanning tree, one word per non-tree edge."""
         paths, edges, _ = self._nontree_edges()
-        out = []
-        for u, g, v in edges:
-            codes = paths[u] + (2 * g,) + _inverse(paths[v])
-            out.append(Word(self.alphabet, codes))
-        return out
+        return [Word(self.alphabet, paths[u] + (c,) + _inverse(paths[v]))
+                for u, c, v in edges]
 
     def express(self, w: Word) -> list[int] | None:
         """Certificate of membership: w as a product of basis words.
@@ -120,34 +165,25 @@ class SubgroupGraph:
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word alphabet differs from graph alphabet")
         _, _, index = self._nontree_edges()
-        v = self.base
+        steps, v = self.steps, self.base
         factors: list[int] = []
         for c in w.letters:
-            g = c >> 1
-            if c & 1:
-                u = self.inc[v].get(g)
-                if u is None:
-                    return None
-                i = index.get((u, g, v))
-                if i:
-                    factors.append(-i)
-                v = u
-            else:
-                t = self.out[v].get(g)
-                if t is None:
-                    return None
-                i = index.get((v, g, t))
-                if i:
-                    factors.append(i)
-                v = t
+            t = steps[v].get(c)
+            if t is None:
+                return None
+            i = index.get((v, c, t))
+            if i:
+                factors.append(i)
+            v = t
         return factors if v == self.base else None
 
     def serialize(self) -> str:
         """Debug text form (internal, not stability-guaranteed)."""
         lines = [f"vertices {self.n_vertices}", "base 0"]
-        for u in range(self.n_vertices):
-            for g in sorted(self.out[u]):
-                lines.append(f"edge {u} {self.alphabet.names[g]} {self.out[u][g]}")
+        for u, step in enumerate(self.steps):
+            for c in sorted(step):
+                if not c & 1:  # each edge once, at its tail
+                    lines.append(f"edge {u} {self.alphabet.names[c >> 1]} {step[c]}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -190,13 +226,12 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
         if w.alphabet != alphabet:
             raise AlphabetMismatch("subgroup generators over mixed alphabets")
 
-    # Vertices are joined by union-find.  A root vertex v keeps its edges as
-    # out[v][g] = w and inc[w][g] = v; entries may name non-root vertices and
-    # are read through find().  A label collision never stores a second edge:
-    # it pushes the two far endpoints onto ``pending`` instead.
+    # Vertices are joined by union-find.  A root vertex keeps its step dict;
+    # entries may name non-root vertices and are read through find().  A
+    # label collision never stores a second edge: it pushes the two far
+    # endpoints onto ``pending`` instead.
     parent = [0]
-    out: list[dict[int, int]] = [{}]
-    inc: list[dict[int, int]] = [{}]
+    steps: list[dict[int, int]] = [{}]
     pending: list[tuple[int, int]] = []
 
     def find(x: int) -> int:
@@ -215,15 +250,14 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
             if b < a:
                 a, b = b, a
             parent[b] = a
-            for maps in (out, inc):
-                keep = maps[a]
-                for g, t in maps[b].items():
-                    s = keep.get(g)
-                    if s is None:
-                        keep[g] = t
-                    else:
-                        pending.append((s, t))
-                maps[b] = {}
+            keep = steps[a]
+            for c, t in steps[b].items():
+                s = keep.get(c)
+                if s is None:
+                    keep[c] = t
+                else:
+                    pending.append((s, t))
+            steps[b] = {}
 
     for w in gens:
         codes = w.letters
@@ -231,15 +265,13 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
         # longest remaining suffix backwards along edges into the base
         head, i = 0, 0
         while i < len(codes):
-            c = codes[i]
-            t = (inc if c & 1 else out)[head].get(c >> 1)
+            t = steps[head].get(codes[i])
             if t is None:
                 break
             head, i = find(t), i + 1
         tail, j = 0, len(codes)
         while j > i:
-            c = codes[j - 1]
-            s = (out if c & 1 else inc)[tail].get(c >> 1)
+            s = steps[tail].get(codes[j - 1] ^ 1)
             if s is None:
                 break
             tail, j = find(s), j - 1
@@ -257,16 +289,12 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
             else:
                 nxt = len(parent)
                 parent.append(nxt)
-                out.append({})
-                inc.append({})
+                steps.append({})
             u, v = find(prev), find(nxt)
-            if c & 1:
-                u, v = v, u
-            g = c >> 1
-            t, s = out[u].get(g), inc[v].get(g)
+            t, s = steps[u].get(c), steps[v].get(c ^ 1)
             if t is None and s is None:
-                out[u][g] = v
-                inc[v][g] = u
+                steps[u][c] = v
+                steps[v][c ^ 1] = u
             else:
                 if t is not None:
                     pending.append((t, v))
@@ -275,32 +303,14 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
                 drain()
             prev = nxt
 
-    roots = [v for v in range(len(parent)) if parent[v] == v]
-    for v in roots:
-        out[v] = {g: find(t) for g, t in out[v].items()}
-        inc[v] = {g: find(t) for g, t in inc[v].items()}
-
-    # Canonical BFS relabeling from the base; it reaches every root, since
-    # the folded graph is the connected image of the wedge.
-    order: dict[int, int] = {0: 0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for adj in (out[v], inc[v]):
-            for g in sorted(adj):
-                w = adj[g]
-                if w not in order:
-                    order[w] = len(order)
-                    queue.append(w)
-
-    n = len(order)
-    new_out: list[dict[int, int]] = [dict() for _ in range(n)]
-    new_inc: list[dict[int, int]] = [dict() for _ in range(n)]
-    for u, i in order.items():
-        for g, v in out[u].items():
-            new_out[i][g] = order[v]
-            new_inc[order[v]][g] = i
-    return SubgroupGraph(alphabet, n, tuple(new_out), tuple(new_inc), tuple(gens))
+    # Point every root's entries at roots, then relabel canonically; the
+    # traversal reaches every root, since the folded graph is the connected
+    # image of the wedge.
+    for v, step in enumerate(steps):
+        if step:
+            steps[v] = {c: find(t) for c, t in step.items()}
+    steps = _canonical(steps)
+    return SubgroupGraph(alphabet, len(steps), steps, tuple(gens))
 
 
 def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) -> bool:

@@ -26,14 +26,14 @@ with one stack, strip the cyclic cancellation and count.  The descent builds
 the ``Automorphism`` and the canonical forms of the first strictly shortening
 move only, and the level-set sweep canonicalises only candidates on the
 minimal level.  One generator, ``_type_two_moves``, enumerates the type-II
-moves in one fixed order for the searches and for ``whitehead_generators``.
-It keeps one substitution table per multiplier and steps it as an odometer,
-rewriting only the slots whose choice changed since the previous move.
+moves in one fixed order for both searches.  It keeps one substitution
+table per multiplier and steps it as an odometer, rewriting only the slots
+whose choice changed since the previous move.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 from typing import Iterator, Sequence
 
 from .words import (
@@ -110,19 +110,6 @@ class Automorphism:
         return f"Automorphism({pairs})"
 
 
-def _type_one(alphabet: Alphabet) -> list[Automorphism]:
-    r = alphabet.rank
-    out = []
-    for perm in permutations(range(r)):
-        for signs in product((0, 1), repeat=r):
-            images = [Word(alphabet, (2 * perm[g] + signs[g],)) for g in range(r)]
-            inverse = [alphabet.identity()] * r
-            for g in range(r):
-                inverse[perm[g]] = Word(alphabet, (2 * g + signs[g],))
-            out.append(Automorphism(alphabet, images, inverse, _trusted=True))
-    return out
-
-
 _KEEP, _LEFT, _RIGHT, _CONJ = range(4)
 
 
@@ -182,16 +169,6 @@ def _move(alphabet: Alphabet, m: int, choice: tuple[int, ...]) -> Automorphism:
         images[g] = Word(alphabet, _image_pairs(m, 2 * g)[ch][0])
         inverse[g] = Word(alphabet, _image_pairs(m ^ 1, 2 * g)[ch][0])
     return Automorphism(alphabet, images, inverse, _trusted=True)
-
-
-def whitehead_generators(alphabet: Alphabet) -> list[Automorphism]:
-    """All type-I (signed basis permutations) and type-II Whitehead moves,
-    the type-II moves in ``_type_two_moves`` order."""
-    if alphabet.rank < 1:
-        raise ValueError("rank must be at least 1")
-    return _type_one(alphabet) + [
-        _move(alphabet, m, choice) for m, choice, _ in _type_two_moves(alphabet)
-    ]
 
 
 def _cyclic_length(subst: Sequence[tuple[int, ...]],

@@ -1,8 +1,8 @@
 """Shared test utilities: seeded random words, small enumerations, the
 reference fold and basis test, the reference least rotation, the
 step-by-step surface residue, the fold-based flag check, the reference ball
-scan, the reference Whitehead descent, the round-based coset automaton and
-the Smith-normal-form extendability test."""
+scan, the full set of Whitehead moves, the reference Whitehead descent, the
+round-based coset automaton and the Smith-normal-form extendability test."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from freefold.abelian import smith_normal_form
@@ -24,7 +24,13 @@ from freefold.chain import (
     flag_parts,
 )
 from freefold.graphs import SubgroupGraph, fold_subgroup
-from freefold.whitehead import Automorphism, BudgetExhausted, DEFAULT_BUDGET
+from freefold.whitehead import (
+    DEFAULT_BUDGET,
+    Automorphism,
+    BudgetExhausted,
+    _move,
+    _type_two_moves,
+)
 from freefold.words import (
     Alphabet,
     AlphabetMismatch,
@@ -209,13 +215,13 @@ def naive_fold(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Subgro
     # every vertex is reachable from the base by construction
     assert len(order) == len(verts)
 
+    # one step dict per vertex, each edge held at both ends
     n = len(order)
-    out: list[dict[int, int]] = [dict() for _ in range(n)]
-    inc: list[dict[int, int]] = [dict() for _ in range(n)]
+    steps: list[dict[int, int]] = [dict() for _ in range(n)]
     for u, g, v in edges:
-        out[order[u]][g] = order[v]
-        inc[order[v]][g] = order[u]
-    return SubgroupGraph(alphabet, n, tuple(out), tuple(inc), tuple(gens))
+        steps[order[u]][2 * g] = order[v]
+        steps[order[v]][2 * g + 1] = order[u]
+    return SubgroupGraph(alphabet, n, tuple(steps), tuple(gens))
 
 
 def naive_is_basis(gens: Sequence[Word], alphabet: Alphabet) -> bool:
@@ -344,6 +350,35 @@ def naive_cross_conjugacy_scan(
 
 
 _KEEP, _LEFT, _RIGHT, _CONJ = range(4)
+
+
+def _type_one(alphabet: Alphabet) -> list[Automorphism]:
+    """The type-I Whitehead moves: all r! 2^r signed basis permutations."""
+    r = alphabet.rank
+    out = []
+    for perm in permutations(range(r)):
+        for signs in product((0, 1), repeat=r):
+            images = [Word(alphabet, (2 * perm[g] + signs[g],)) for g in range(r)]
+            inverse = [alphabet.identity()] * r
+            for g in range(r):
+                inverse[perm[g]] = Word(alphabet, (2 * g + signs[g],))
+            out.append(Automorphism(alphabet, images, inverse, _trusted=True))
+    return out
+
+
+def whitehead_generators(alphabet: Alphabet) -> list[Automorphism]:
+    """All type-I (signed basis permutations) and type-II Whitehead moves,
+    the type-II moves in ``freefold.whitehead._type_two_moves`` order.
+
+    They generate Aut(F): the tests compose them into random automorphisms.
+    The library's searches apply type-II moves only, so it keeps neither
+    this list nor the type-I moves.
+    """
+    if alphabet.rank < 1:
+        raise ValueError("rank must be at least 1")
+    return _type_one(alphabet) + [
+        _move(alphabet, m, choice) for m, choice, _ in _type_two_moves(alphabet)
+    ]
 
 
 def naive_type_two(alphabet: Alphabet) -> list[Automorphism]:

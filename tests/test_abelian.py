@@ -7,9 +7,9 @@ from freefold.abelian import (
     is_basis_extendable_abelian,
     smith_normal_form,
 )
-from freefold.whitehead import extends_to_basis, whitehead_generators
+from freefold.whitehead import extends_to_basis
 from freefold.words import Alphabet, DegenerateInput, commutator, conjugate, multiply
-from helpers import naive_is_basis_extendable_abelian, random_word
+from helpers import naive_is_basis_extendable_abelian, random_word, whitehead_generators
 
 AB = Alphabet.parse("a0,b0")
 ABC = Alphabet.parse("a0,b0,c0")

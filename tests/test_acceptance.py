@@ -34,7 +34,7 @@ from freefold.cosets import (
     e3,
 )
 from freefold.graphs import fold_subgroup, verify_expression
-from freefold.whitehead import is_primitive, whitehead_generators
+from freefold.whitehead import is_primitive
 from freefold.words import (
     Alphabet,
     Word,
@@ -44,7 +44,7 @@ from freefold.words import (
     multiply,
     root,
 )
-from helpers import all_reduced_words, random_word
+from helpers import all_reduced_words, random_word, whitehead_generators
 
 
 @contextmanager

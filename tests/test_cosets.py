@@ -4,8 +4,6 @@ import pytest
 
 from freefold.cosets import (
     CosetAutomaton,
-    _cyclic_graph,
-    _read,
     double_coset_member,
     double_coset_member_bounded,
     e0,
@@ -13,12 +11,13 @@ from freefold.cosets import (
     e2,
     e3,
 )
-from freefold.graphs import fold_subgroup
+from freefold.graphs import _canonical, _read, _stem_cycle, fold_subgroup
 from freefold.words import (
     Alphabet,
     AlphabetMismatch,
     DegenerateInput,
     Word,
+    _cyclic_strip,
     conjugate,
     invert,
     multiply,
@@ -91,6 +90,21 @@ def test_relations_reject_words_over_another_alphabet():
         e3(1, 1, a, b, r, a, b, r)
     with pytest.raises(AlphabetMismatch):
         e3(1, 1, a, b, r, b, b, r)
+
+
+def test_coset_recognizer_rejects_words_over_another_alphabet():
+    # the foreign words spell the letter codes of a b a, a member
+    auto = CosetAutomaton(AB.word("a"), AB.word("b"), AB.word("a"))
+    assert auto.accepts(AB.word("a b a"))
+    same_rank, larger_rank = Alphabet.parse("x,y"), Alphabet.parse("a,b,c")
+    for alphabet in (same_rank, larger_rank):
+        z = Word(alphabet, AB.word("a b a").letters)
+        with pytest.raises(AlphabetMismatch):
+            auto.accepts(z)
+        with pytest.raises(AlphabetMismatch):
+            double_coset_member(AB.word("a"), AB.word("b"), AB.word("a"), z)
+    # an equal alphabet that is another object is the same alphabet
+    assert auto.accepts(Alphabet.parse("a,b").word("a b a"))
 
 
 def test_e1_negative_exponents_and_identity_witness():
@@ -242,8 +256,9 @@ def test_cyclic_graph_matches_fold_subgroup():
         sides += [w, w ** rng.randint(2, 3), conjugate(w, random_word(rng, AB, 3))]
     short = [w for length in range(7) for w in all_reduced_words(AB, length)]
     for u in sides:
-        graph, folded = _cyclic_graph(u), fold_subgroup([u])
+        graph, folded = _stem_cycle(*_cyclic_strip(u.letters)), fold_subgroup([u])
         assert len(graph) == folded.n_vertices
+        assert _canonical(graph) == folded.steps, u
         for w in short:
             path = _read(graph, w.letters)
             read_home = len(path) == len(w) + 1 and path[-1] == 0

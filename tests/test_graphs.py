@@ -83,7 +83,7 @@ def test_fold_deterministic_up_to_generator_presentation():
 def fold_matches_oracle(gens, alphabet):
     got = fold_subgroup(gens, alphabet)
     want = naive_fold(gens, alphabet)
-    return (got.n_vertices, got.out, got.inc) == (want.n_vertices, want.out, want.inc)
+    return (got.n_vertices, got.steps) == (want.n_vertices, want.steps)
 
 
 def test_fold_matches_pass_by_pass_oracle():

@@ -11,7 +11,6 @@ from freefold.whitehead import (
     extends_to_basis,
     is_primitive,
     minimize_tuple,
-    whitehead_generators,
 )
 from freefold.words import (
     Alphabet,
@@ -29,6 +28,7 @@ from helpers import (
     naive_minimize_tuple,
     naive_type_two,
     random_word,
+    whitehead_generators,
 )
 
 AB = Alphabet.parse("a0,b0")
