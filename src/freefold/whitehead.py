@@ -25,10 +25,23 @@ So each candidate move is scored on letter codes: substitute, freely reduce
 with one stack, strip the cyclic cancellation and count.  The descent builds
 the ``Automorphism`` and the canonical forms of the first strictly shortening
 move only, and the level-set sweep canonicalises only candidates on the
-minimal level.  One generator, ``_type_two_moves``, enumerates the type-II
-moves in one fixed order for both searches.  It keeps one substitution
-table per multiplier and steps it as an odometer, rewriting only the slots
-whose choice changed since the previous move.
+minimal level.  One scanner, ``_scan``, serves both searches: it steps
+the type-II moves in one fixed order on one substitution table per
+multiplier, an odometer that rewrites only the slots whose choice changed
+since the previous move, scores each move in the same loop and yields the
+moves whose total falls in a window the caller sets: below the current
+total for descent, which takes the first, and equal to it for the level-set
+sweep, which takes them all.
+
+A move that rewrote only slots of generators no entry contains (the
+odometer's first rewritten slot lies in the trailing run of such
+generators) maps every entry as the move before it did, or as the identity
+at the head of a multiplier's block.  The scanner counts it against the
+budget but neither scores nor yields it, and that loses nothing.  In
+descent the move before was either taken, ending the sweep, or not
+shorter; the identity is not shorter.  In the level-set sweep the move
+before produced a candidate already visited, or one now visited, and the
+identity produces the tuple itself, which was visited before it was swept.
 """
 
 from __future__ import annotations
@@ -119,10 +132,13 @@ def _image_pairs(m: int, x: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     return [(f, _inverse(f)) for f in forward]
 
 
-def _type_two_moves(
-    alphabet: Alphabet,
-) -> Iterator[tuple[int, tuple[int, ...], list[tuple[int, ...]]]]:
-    """Every type-II move as (m, choices, substitution table by letter code).
+def _scan(
+    alphabet: Alphabet, entries: Sequence[tuple[int, ...]], lo: int, hi: int,
+    examined: int, budget: int, exhausted: str,
+) -> Iterator[tuple[int, int, tuple[int, ...], list[tuple[int, ...]]]]:
+    """Step through the type-II moves, score each on ``entries`` (letter
+    codes) and yield (examined, m, choices, substitution table) for the moves
+    whose images have summed cyclic length in [lo, hi].
 
     A multiplier letter m fixes itself and every other generator x goes
     independently to x, m x, x m^-1 or m x m^-1.  Moves come multiplier by
@@ -132,22 +148,36 @@ def _type_two_moves(
 
     Each multiplier has one table, stepped as an odometer.  In ``product``
     order the last choice turns fastest: from one move to the next, the
-    trailing choices that wrapped to keep and the last nonzero choice before
-    them are the only ones that change, about 4/3 slots per move.  So the
-    step rewrites the slots from the end back to the first nonzero choice.
-    The yielded table is that one list, mutated in place by the next step:
-    a consumer reads it before asking for the next move and never keeps it.
+    trailing choices that wrapped to keep and the last nonzero choice i
+    before them are the only ones that change, about 4/3 slots per move.  So
+    the step rewrites the slots from the end back to i.  The yielded table
+    is that one list, mutated in place by the next step: a consumer reads
+    it before asking for the next move and never keeps it.
+
+    A move whose slots i onward all belong to generators that no entry
+    contains maps every entry as the move before it did, or as the identity
+    at the head of a block.  It is counted but neither scored nor yielded.
+
+    ``examined`` counts moves on from the value passed in.  The budget is
+    checked before each move; past it, ``BudgetExhausted(exhausted)`` is
+    raised.  A sweep that is run to its end counts all its moves.
     """
     r = alphabet.rank
+    used = {c >> 1 for codes in entries for c in codes}
     for m in range(2 * r):
         others = [g for g in range(r) if g != m >> 1]
         codes = [2 * g for g in others]
         pairs = [_image_pairs(m, x) for x in codes]
         subst = [(c,) for c in range(2 * r)]
         last = len(others) - 1
+        # slots from ``live`` on hold generators that no entry contains
+        live = max((j + 1 for j, g in enumerate(others) if g in used), default=0)
         moves = product((_KEEP, _LEFT, _RIGHT, _CONJ), repeat=len(others))
         next(moves)  # all keep, the identity
         for choice in moves:
+            examined += 1
+            if examined > budget:
+                raise BudgetExhausted(exhausted)
             i = last
             while True:
                 ch = choice[i]
@@ -156,7 +186,25 @@ def _type_two_moves(
                 if ch:
                     break
                 i -= 1
-            yield m, choice, subst
+            if i >= live:
+                continue
+            length = 0
+            for word in entries:
+                stack: list[int] = []
+                push, pop = stack.append, stack.pop
+                for c in word:
+                    for d in subst[c]:
+                        if stack and stack[-1] == d ^ 1:
+                            pop()
+                        else:
+                            push(d)
+                start, end = 0, len(stack)
+                while end - start >= 2 and stack[start] == stack[end - 1] ^ 1:
+                    start += 1
+                    end -= 1
+                length += end - start
+            if lo <= length <= hi:
+                yield examined, m, choice, subst
 
 
 def _move(alphabet: Alphabet, m: int, choice: tuple[int, ...]) -> Automorphism:
@@ -169,31 +217,6 @@ def _move(alphabet: Alphabet, m: int, choice: tuple[int, ...]) -> Automorphism:
         images[g] = Word(alphabet, _image_pairs(m, 2 * g)[ch][0])
         inverse[g] = Word(alphabet, _image_pairs(m ^ 1, 2 * g)[ch][0])
     return Automorphism(alphabet, images, inverse, _trusted=True)
-
-
-def _cyclic_length(subst: Sequence[tuple[int, ...]],
-                   entries: Sequence[tuple[int, ...]]) -> int:
-    """Summed cyclic length of the images of ``entries`` (letter codes).
-
-    Substitutes, freely reduces with one stack and strips the cyclic
-    cancellation at the ends; no word and no normal form is built.
-    """
-    total = 0
-    for codes in entries:
-        stack: list[int] = []
-        push, pop = stack.append, stack.pop
-        for c in codes:
-            for d in subst[c]:
-                if stack and stack[-1] == d ^ 1:
-                    pop()
-                else:
-                    push(d)
-        lo, hi = 0, len(stack)
-        while hi - lo >= 2 and stack[lo] == stack[hi - 1] ^ 1:
-            lo += 1
-            hi -= 1
-        total += hi - lo
-    return total
 
 
 def minimize_tuple(
@@ -225,22 +248,17 @@ def minimize_tuple(
     floor = sum(1 for w in current if w)
     seq: list[Automorphism] = []
     examined = 0
-    improved = True
-    while improved and total > floor:
-        improved = False
+    exhausted = f"minimization exceeded {budget} examined tuples"
+    while total > floor:
         entries = [w.letters for w in current]
-        for m, choice, subst in _type_two_moves(alphabet):
-            examined += 1
-            if examined > budget:
-                raise BudgetExhausted(f"minimization exceeded {budget} examined tuples")
-            length = _cyclic_length(subst, entries)
-            if length < total:
-                f = _move(alphabet, m, choice)
-                current = [cyclic_canonical(f.apply(w)) for w in current]
-                total = length
-                seq.append(f)
-                improved = True
-                break
+        hit = next(_scan(alphabet, entries, 0, total - 1, examined, budget, exhausted), None)
+        if hit is None:
+            break
+        examined, m, choice, _ = hit
+        f = _move(alphabet, m, choice)
+        current = [cyclic_canonical(f.apply(w)) for w in current]
+        total = sum(len(w) for w in current)
+        seq.append(f)
     return current, seq
 
 
@@ -268,6 +286,10 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
     tuples reachable by single type-II moves; greedy alone can land on a
     minimal tuple other than a generator tuple.
 
+    A tuple with more entries than the rank answers ``False`` without a
+    search: r generators hold no k > r distinct ones.  Trivial entries and
+    mixed alphabets are still rejected first.
+
     A descended tuple at the length floor, one letter per entry, that is not
     a generator tuple answers ``False`` without the sweep.  Two of its
     entries are then x^e and x^f on one generator x, and every automorphism
@@ -281,14 +303,18 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
     for w in t:
         if not w:
             raise DegenerateInput("tuple entries must be nontrivial")
+    alphabet = t[0].alphabet
+    if len(t) > alphabet.rank and all(w.alphabet == alphabet for w in t):
+        return False
     start, _ = minimize_tuple(t, budget)
-    alphabet = start[0].alphabet
     level = sum(len(w) for w in start)
     first = tuple(start)
     if _is_generator_tuple(first):
         return True
     if level == len(first):
         return False
+    sweep = 2 * alphabet.rank * (4 ** (alphabet.rank - 1) - 1)  # moves per sweep
+    exhausted = f"basis-extension search exceeded {budget} examined tuples"
     visited = {first}
     frontier = [first]
     examined = 0
@@ -296,14 +322,8 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
         next_frontier = []
         for tup in frontier:
             entries = [w.letters for w in tup]
-            for _, _, subst in _type_two_moves(alphabet):
-                examined += 1
-                if examined > budget:
-                    raise BudgetExhausted(
-                        f"basis-extension search exceeded {budget} examined tuples"
-                    )
-                if _cyclic_length(subst, entries) != level:
-                    continue
+            for _, _, _, subst in _scan(alphabet, entries, level, level,
+                                        examined, budget, exhausted):
                 candidate = tuple(
                     cyclic_canonical(Word(alphabet, _substitute(subst, codes)))
                     for codes in entries
@@ -314,5 +334,6 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
                     return True
                 visited.add(candidate)
                 next_frontier.append(candidate)
+            examined += sweep
         frontier = next_frontier
     return False

@@ -29,7 +29,6 @@ from freefold.whitehead import (
     Automorphism,
     BudgetExhausted,
     _move,
-    _type_two_moves,
 )
 from freefold.words import (
     Alphabet,
@@ -368,7 +367,9 @@ def _type_one(alphabet: Alphabet) -> list[Automorphism]:
 
 def whitehead_generators(alphabet: Alphabet) -> list[Automorphism]:
     """All type-I (signed basis permutations) and type-II Whitehead moves,
-    the type-II moves in ``freefold.whitehead._type_two_moves`` order.
+    the type-II moves in the order in which ``freefold.whitehead._scan``
+    steps through them: multiplier by multiplier, then the choices in
+    ``product`` order, all-keep left out.
 
     They generate Aut(F): the tests compose them into random automorphisms.
     The library's searches apply type-II moves only, so it keeps neither
@@ -376,8 +377,12 @@ def whitehead_generators(alphabet: Alphabet) -> list[Automorphism]:
     """
     if alphabet.rank < 1:
         raise ValueError("rank must be at least 1")
+    r = alphabet.rank
     return _type_one(alphabet) + [
-        _move(alphabet, m, choice) for m, choice, _ in _type_two_moves(alphabet)
+        _move(alphabet, m, choice)
+        for m in range(2 * r)
+        for choice in product((_KEEP, _LEFT, _RIGHT, _CONJ), repeat=r - 1)
+        if any(choice)
     ]
 
 
@@ -385,8 +390,9 @@ def naive_type_two(alphabet: Alphabet) -> list[Automorphism]:
     """Type-II Whitehead moves: a multiplier letter m fixes itself and every
     other generator x goes independently to x, m x, x m^-1 or m x m^-1.
 
-    Test oracle for ``freefold.whitehead._type_two_moves``, whose moves must
-    come in this order with these images and inverse images.
+    Test oracle for ``freefold.whitehead._scan``, whose moves must come in
+    this order with these substitution tables, and for ``_move``, which must
+    build these images and inverse images.
     """
     r = alphabet.rank
     gens = [Word(alphabet, (2 * g,)) for g in range(r)]

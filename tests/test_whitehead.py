@@ -7,7 +7,7 @@ from freefold.abelian import exponent_vector
 from freefold.whitehead import (
     Automorphism,
     BudgetExhausted,
-    _type_two_moves,
+    _scan,
     extends_to_basis,
     is_primitive,
     minimize_tuple,
@@ -62,17 +62,51 @@ def test_type_two_moves_match_oracle_enumeration():
 
 
 def test_type_two_tables_match_oracle_images():
-    # the yielded table is mutated by the next step, so each is copied
-    # as it comes
+    # a tuple that uses every generator and an open window: every move is
+    # scored and yielded; the yielded table is mutated by the next step, so
+    # each is copied as it comes
     for rank in (1, 2, 3, 4, 5):
         al = Alphabet([f"x{g}" for g in range(rank)])
-        tables = [tuple(subst) for _, _, subst in _type_two_moves(al)]
+        entries = [tuple(2 * g for g in range(rank))]
+        hits = [(examined, tuple(subst))
+                for examined, _, _, subst in _scan(al, entries, 0, 10**9, 0, 10**9, "")]
         want = naive_type_two(al)
-        assert len(tables) == len(want) == 2 * rank * (4 ** (rank - 1) - 1)
-        for subst, f in zip(tables, want):
+        assert len(hits) == len(want) == 2 * rank * (4 ** (rank - 1) - 1)
+        assert [examined for examined, _ in hits] == list(range(1, len(want) + 1))
+        for (_, subst), f in zip(hits, want):
             for g, img in enumerate(f.images):
                 assert subst[2 * g] == img.letters
                 assert subst[2 * g + 1] == invert(img).letters
+
+
+def test_scan_skips_only_moves_that_repeat_the_images_before():
+    # entries that leave out some generators: a move that is not yielded
+    # under an open window must map them as the move before it does (the
+    # identity at the head of each multiplier's block), and every move is
+    # still counted; x0 and x2 leave a gap at x1
+    for rank in (2, 3, 4, 5):
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        moves = naive_type_two(al)
+        per_block = len(moves) // (2 * rank)
+        for gens in [range(k) for k in range(1, rank)] + [(0, 2)] * (rank > 2):
+            t = [Word(al, [2 * g for g in gens]), Word(al, (2 * gens[-1] + 1,))]
+            entries = [w.letters for w in t]
+            hits = {examined: tuple(subst)
+                    for examined, _, _, subst in _scan(al, entries, 0, 10**9, 0, 10**9, "")}
+            assert len(hits) < len(moves)
+            for j, f in enumerate(moves):
+                images = [f.apply(w).letters for w in t]
+                if j + 1 in hits:
+                    table = hits[j + 1]
+                    assert images == [Word(al, [d for c in w for d in table[c]]).letters
+                                      for w in entries]
+                else:
+                    before = t if j % per_block == 0 else [moves[j - 1].apply(w) for w in t]
+                    assert images == [w.letters for w in before], (gens, j)
+            with pytest.raises(BudgetExhausted, match="^spent$"):
+                for _ in _scan(al, entries, 0, -1, 0, len(moves) - 1, "spent"):
+                    pass
+            assert list(_scan(al, entries, 0, -1, 0, len(moves), "spent")) == []
 
 
 def test_generator_counts_rank_one():
@@ -245,6 +279,25 @@ def test_extends_to_basis_rejects_degenerate_input():
         extends_to_basis([AB.word("a0"), AB.identity()])
 
 
+def test_more_entries_than_the_rank_never_extend():
+    # without the rank check both run the search: the first runs out of a
+    # 10^5 budget, the second takes about a second to answer False
+    x4 = Alphabet([f"x{g}" for g in range(4)])
+    x3 = Alphabet([f"x{g}" for g in range(3)])
+    for al, words in (
+        (x4, ("x3 x1^-1 x0 x2", "x2 x0 x3", "x3^-1", "x0", "x0^-3 x1^-1")),
+        (x3, ("x1^-1 x2^-1 x1^-1 x0^-1 x2^-1", "x1", "x1 x0^-1 x1 x2 x0",
+              "x0^-1 x2 x1^-1")),
+    ):
+        t = [al.word(w) for w in words]
+        assert extends_to_basis(t, budget=0) is False
+        assert extends_to_basis(t) is False
+    with pytest.raises(AlphabetMismatch):
+        extends_to_basis([AB.word("a0"), AB.word("b0"), ABC.word("c0")])
+    with pytest.raises(DegenerateInput):
+        extends_to_basis([AB.word("a0"), AB.word("b0"), AB.identity()])
+
+
 def test_budget_exhaustion_is_reported():
     with pytest.raises(BudgetExhausted):
         minimize_tuple([AB.word("a0 b0 a0 b0^-1")], budget=0)
@@ -307,12 +360,13 @@ def test_basis_extension_at_the_floor_needs_no_budget():
 # -- scored descent against the apply-everything oracle -----------------------
 
 
-def _nielsen_image(rng, rank, target):
-    """Images of x0, x0^2 and [x0, x1] under random elementary Nielsen moves."""
+def _nielsen_image(rng, rank, target, k=None):
+    """Images of x0, x0^2 and [x0, x1] under random elementary Nielsen moves
+    among the first k generators (all of them by default)."""
     al = Alphabet([f"x{g}" for g in range(rank)])
     images = al.generators()
     for _ in range(rng.randint(1, 8)):
-        i, j = rng.sample(range(rank), 2)
+        i, j = rng.sample(range(k or rank), 2)
         m = images[j] if rng.random() < 0.5 else invert(images[j])
         images[i] = multiply(images[i], m) if rng.random() < 0.5 else multiply(m, images[i])
     x0, x1 = images[0], images[1]
@@ -345,6 +399,18 @@ def test_descent_matches_apply_everything_oracle():
         cases.append([random_word(rng, al, 12) for _ in range(rng.randint(1, 3))])
     for trial in range(300):
         cases.append(_nielsen_image(rng, trial % 3 + 3, trial // 3 % 3))
+    # tuples over x0..x(k-1) only, whose moves on the trailing generators the
+    # library counts without scoring, and over k generators with gaps; the
+    # oracles score every move
+    sparse = random.Random(41)
+    for trial in range(160):
+        rank = sparse.choice((3, 3, 4, 4, 5))
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        k = sparse.randint(1, rank - 1)
+        gens = range(k) if trial % 2 else sparse.sample(range(rank), k)
+        codes = [2 * g + s for g in gens for s in (0, 1)]
+        cases.append([Word(al, sparse.choices(codes, k=sparse.randint(0, 12)))
+                      for _ in range(sparse.randint(1, 3))])
     for t in cases:
         budget = rng.choice((0, 1, 5, 50, 10**6))
         got = _outcome(minimize_tuple, t, budget)
@@ -353,7 +419,11 @@ def test_descent_matches_apply_everything_oracle():
         # a rank-5 level set can take more than 10^6 examined tuples
         budget = min(budget, 2_000)
         got = _outcome(extends_to_basis, t, budget)
-        assert got == _outcome(naive_extends_to_basis, t, budget), (t, budget)
+        if len(t) > t[0].alphabet.rank and all(t):
+            # more classes than generators: never a basis, answered unsearched
+            assert got is False, (t, budget)
+        else:
+            assert got == _outcome(naive_extends_to_basis, t, budget), (t, budget)
 
 
 def _least_budget(fn, t):
@@ -373,8 +443,11 @@ def _least_budget(fn, t):
 
 def test_budgets_run_out_where_the_oracle_does():
     rng = random.Random(29)
-    for trial in range(60):
-        t = _nielsen_image(rng, trial % 2 + 2, trial % 3)
+    cases = [_nielsen_image(rng, trial % 2 + 2, trial % 3) for trial in range(60)]
+    # images among x0..x(k-1), k < rank, at ranks 3 to 5
+    cases += [_nielsen_image(rng, rank, trial % 3, k=rng.randint(2, rank - 1))
+              for trial, rank in enumerate((3, 4) * 6 + (5,) * 3)]
+    for t in cases:
         for fn, oracle in ((minimize_tuple, naive_minimize_tuple),
                            (extends_to_basis, naive_extends_to_basis)):
             least = _least_budget(fn, t)
