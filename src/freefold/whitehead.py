@@ -33,19 +33,29 @@ moves whose total falls in a window the caller sets: below the current
 total for descent, which takes the first, and equal to it for the level-set
 sweep, which takes them all.
 
-A move that rewrote only slots of generators no entry contains (the
-odometer's first rewritten slot lies in the trailing run of such
-generators) maps every entry as the move before it did, or as the identity
-at the head of a multiplier's block.  The scanner counts it against the
-budget but neither scores nor yields it, and that loses nothing.  In
-descent the move before was either taken, ending the sweep, or not
-shorter; the identity is not shorter.  In the level-set sweep the move
-before produced a candidate already visited, or one now visited, and the
-identity produces the tuple itself, which was visited before it was swept.
+The images the odometer writes come from one plan per rank (``_block``):
+for each multiplier m, the other generators, their codes and the four
+(image, inverse image) pairs of each, as literal words of one to three
+letters, reduced as written.  Each block is cached and read by every
+sweep, and ``_move`` builds the move it takes from the same plan, with no
+reduction pass: the images under m and the inverse images under m^-1.
+
+A move whose first rewritten slot i (its last choice other than keep)
+holds a generator that no entry contains maps every entry as the block's
+earlier move with slot i onward at keep does, or as the identity when that
+move is all keep: the two differ only at slot i, whose generator the
+entries never read.  The scanner counts such a move against the budget but
+neither scores nor yields it, wherever slot i lies, and that loses nothing.
+The earlier move was scored, or was skipped in turn and repeats a move
+still earlier.  In descent that move was either taken, ending the sweep, or
+not shorter; the identity is not shorter.  In the level-set sweep it
+produced a candidate already visited, and the identity produces the tuple
+itself, which was visited before it was swept.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -55,6 +65,7 @@ from .words import (
     DegenerateInput,
     Word,
     _inverse,
+    _reduced,
     cyclic_canonical,
 )
 
@@ -124,12 +135,35 @@ class Automorphism:
 
 
 _KEEP, _LEFT, _RIGHT, _CONJ = range(4)
+_Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _image_pairs(m: int, x: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(image of x, image of x^-1) under each choice for multiplier m."""
-    forward = ((x,), (m, x), (x, m ^ 1), (m, x, m ^ 1))
-    return [(f, _inverse(f)) for f in forward]
+@lru_cache(maxsize=64)
+def _block(rank: int, m: int) -> tuple[
+    tuple[int, ...], tuple[int, ...], tuple[tuple[_Pair, ...], ...]
+]:
+    """The plan of the type-II moves with multiplier m at this rank: the
+    other generators, their letter codes and, for each code x, the (image
+    of x, image of x^-1) pairs of the choices keep, left, right and conj.
+
+    The 2r blocks of a rank make its plan, 8r(r - 1) pairs of words of one
+    to three letters, each freely reduced as written since x and m lie on
+    different generators.  A block is built when a scan first needs it and
+    kept: the cache holds every block of ranks 1 to 5 (30 blocks, 160 pairs
+    at rank 5), and its bound keeps a large rank, whose budget runs out in
+    its first blocks, from building and holding all 2r of them.
+    """
+    n = m ^ 1
+    others = tuple(g for g in range(rank) if g != m >> 1)
+    codes = tuple(2 * g for g in others)
+    pairs = tuple(
+        (((x,), (x ^ 1,)),
+         ((m, x), (x ^ 1, n)),
+         ((x, n), (m, x ^ 1)),
+         ((m, x, n), (m, x ^ 1, n)))
+        for x in codes
+    )
+    return others, codes, pairs
 
 
 def _scan(
@@ -144,7 +178,7 @@ def _scan(
     independently to x, m x, x m^-1 or m x m^-1.  Moves come multiplier by
     multiplier, m = 0, 1, ..., 2r - 1, and for each in ``product`` order of
     those four choices, all-keep left out: 4^(r-1) - 1 moves per
-    multiplier.
+    multiplier.  The images come from the rank's plan (``_block``).
 
     Each multiplier has one table, stepped as an odometer.  In ``product``
     order the last choice turns fastest: from one move to the next, the
@@ -154,9 +188,10 @@ def _scan(
     is that one list, mutated in place by the next step: a consumer reads
     it before asking for the next move and never keeps it.
 
-    A move whose slots i onward all belong to generators that no entry
-    contains maps every entry as the move before it did, or as the identity
-    at the head of a block.  It is counted but neither scored nor yielded.
+    A move whose slot i holds a generator that no entry contains maps every
+    entry as the block's earlier move with slot i onward at keep does, or
+    as the identity when that is all keep.  It is counted but neither scored
+    nor yielded.
 
     ``examined`` counts moves on from the value passed in.  The budget is
     checked before each move; past it, ``BudgetExhausted(exhausted)`` is
@@ -165,13 +200,10 @@ def _scan(
     r = alphabet.rank
     used = {c >> 1 for codes in entries for c in codes}
     for m in range(2 * r):
-        others = [g for g in range(r) if g != m >> 1]
-        codes = [2 * g for g in others]
-        pairs = [_image_pairs(m, x) for x in codes]
+        others, codes, pairs = _block(r, m)
+        absent = [g not in used for g in others]
         subst = [(c,) for c in range(2 * r)]
         last = len(others) - 1
-        # slots from ``live`` on hold generators that no entry contains
-        live = max((j + 1 for j, g in enumerate(others) if g in used), default=0)
         moves = product((_KEEP, _LEFT, _RIGHT, _CONJ), repeat=len(others))
         next(moves)  # all keep, the identity
         for choice in moves:
@@ -186,7 +218,7 @@ def _scan(
                 if ch:
                     break
                 i -= 1
-            if i >= live:
+            if absent[i]:
                 continue
             length = 0
             for word in entries:
@@ -208,14 +240,15 @@ def _scan(
 
 
 def _move(alphabet: Alphabet, m: int, choice: tuple[int, ...]) -> Automorphism:
-    """The type-II move with multiplier m and these choices; its inverse
-    makes the same choices with m^-1."""
+    """The type-II move with multiplier m and these choices, read off the
+    plan; its inverse makes the same choices with m^-1."""
     images = alphabet.generators()
     inverse = alphabet.generators()
-    others = [g for g in range(alphabet.rank) if g != m >> 1]
-    for g, ch in zip(others, choice):
-        images[g] = Word(alphabet, _image_pairs(m, 2 * g)[ch][0])
-        inverse[g] = Word(alphabet, _image_pairs(m ^ 1, 2 * g)[ch][0])
+    others, _, pairs = _block(alphabet.rank, m)
+    back = _block(alphabet.rank, m ^ 1)[2]
+    for i, (g, ch) in enumerate(zip(others, choice)):
+        images[g] = _reduced(alphabet, pairs[i][ch][0])
+        inverse[g] = _reduced(alphabet, back[i][ch][0])
     return Automorphism(alphabet, images, inverse, _trusted=True)
 
 

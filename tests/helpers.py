@@ -391,8 +391,9 @@ def naive_type_two(alphabet: Alphabet) -> list[Automorphism]:
     other generator x goes independently to x, m x, x m^-1 or m x m^-1.
 
     Test oracle for ``freefold.whitehead._scan``, whose moves must come in
-    this order with these substitution tables, and for ``_move``, which must
-    build these images and inverse images.
+    this order with these substitution tables, for its plan ``_block``,
+    whose image pairs must be these, and for ``_move``, which must build
+    these images and inverse images.
     """
     r = alphabet.rank
     gens = [Word(alphabet, (2 * g,)) for g in range(r)]

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -7,6 +8,8 @@ from freefold.abelian import exponent_vector
 from freefold.whitehead import (
     Automorphism,
     BudgetExhausted,
+    _block,
+    _move,
     _scan,
     extends_to_basis,
     is_primitive,
@@ -79,30 +82,62 @@ def test_type_two_tables_match_oracle_images():
                 assert subst[2 * g + 1] == invert(img).letters
 
 
+def _choices(rank):
+    """(m, choices) of each type-II move, in ``naive_type_two`` order."""
+    return [(m, choice) for m in range(2 * rank)
+            for choice in product(range(4), repeat=rank - 1) if any(choice)]
+
+
+def test_plan_and_moves_match_oracle_images():
+    for rank in (1, 2, 3, 4, 5):
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        for m in range(2 * rank):
+            others, codes, pairs = _block(rank, m)
+            assert others == tuple(g for g in range(rank) if g != m >> 1)
+            assert codes == tuple(2 * g for g in others)
+            assert [p[0] for p in pairs] == [((x,), (x ^ 1,)) for x in codes]
+        for (m, choice), f in zip(_choices(rank), naive_type_two(al), strict=True):
+            others, _, pairs = _block(rank, m)
+            for i, (g, ch) in enumerate(zip(others, choice)):
+                assert pairs[i][ch] == (f.images[g].letters, invert(f.images[g]).letters)
+            got = _move(al, m, choice)
+            assert got.images == f.images
+            assert got.inverse_images == f.inverse_images
+
+
 def test_scan_skips_only_moves_that_repeat_the_images_before():
-    # entries that leave out some generators: a move that is not yielded
-    # under an open window must map them as the move before it does (the
-    # identity at the head of each multiplier's block), and every move is
-    # still counted; x0 and x2 leave a gap at x1
+    # entries that leave out some generators, also in the interior: under an
+    # open window the moves yielded are exactly those whose first rewritten
+    # slot i (the last nonzero choice) holds a generator some entry contains;
+    # every other move maps the entries as the block's earlier move with
+    # slots i onward at keep does, or as the identity, and is still counted
     for rank in (2, 3, 4, 5):
         al = Alphabet([f"x{g}" for g in range(rank)])
         moves = naive_type_two(al)
-        per_block = len(moves) // (2 * rank)
-        for gens in [range(k) for k in range(1, rank)] + [(0, 2)] * (rank > 2):
+        choices = _choices(rank)
+        index = {key: j for j, key in enumerate(choices)}
+        subsets = [range(k) for k in range(1, rank)] + [range(1, rank)]
+        subsets += [(0, 2), (1,)] * (rank > 2) + [(0, 2, 4), (1, 3), (0, 3)] * (rank > 4)
+        for gens in subsets:
             t = [Word(al, [2 * g for g in gens]), Word(al, (2 * gens[-1] + 1,))]
             entries = [w.letters for w in t]
             hits = {examined: tuple(subst)
                     for examined, _, _, subst in _scan(al, entries, 0, 10**9, 0, 10**9, "")}
-            assert len(hits) < len(moves)
-            for j, f in enumerate(moves):
+            want = set()
+            for j, ((m, choice), f) in enumerate(zip(choices, moves)):
+                others = [g for g in range(rank) if g != m >> 1]
+                i = max(k for k, ch in enumerate(choice) if ch)
                 images = [f.apply(w).letters for w in t]
-                if j + 1 in hits:
+                if others[i] in gens:
+                    want.add(j + 1)
                     table = hits[j + 1]
                     assert images == [Word(al, [d for c in w for d in table[c]]).letters
                                       for w in entries]
-                else:
-                    before = t if j % per_block == 0 else [moves[j - 1].apply(w) for w in t]
-                    assert images == [w.letters for w in before], (gens, j)
+                    continue
+                earlier = choice[:i] + (0,) * (len(choice) - i)
+                before = [moves[index[m, earlier]].apply(w) for w in t] if any(earlier) else t
+                assert images == [w.letters for w in before], (gens, j)
+            assert set(hits) == want, gens
             with pytest.raises(BudgetExhausted, match="^spent$"):
                 for _ in _scan(al, entries, 0, -1, 0, len(moves) - 1, "spent"):
                     pass
@@ -399,9 +434,9 @@ def test_descent_matches_apply_everything_oracle():
         cases.append([random_word(rng, al, 12) for _ in range(rng.randint(1, 3))])
     for trial in range(300):
         cases.append(_nielsen_image(rng, trial % 3 + 3, trial // 3 % 3))
-    # tuples over x0..x(k-1) only, whose moves on the trailing generators the
-    # library counts without scoring, and over k generators with gaps; the
-    # oracles score every move
+    # tuples over x0..x(k-1) only and over k generators with gaps, whose
+    # moves that first rewrite an absent generator the library counts
+    # without scoring; the oracles score every move
     sparse = random.Random(41)
     for trial in range(160):
         rank = sparse.choice((3, 3, 4, 4, 5))
