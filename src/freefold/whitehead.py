@@ -22,23 +22,37 @@ Signed basis permutations (type I) never change lengths and preserve the
 Only the cyclic length of the images decides a step (Gersten, "On
 Whitehead's algorithm", Bull. AMS 1984; Roig, Ventura and Weil, IJAC 2007).
 So each candidate move is scored on letter codes: substitute, freely reduce
-with one stack, strip the cyclic cancellation and count.  The descent builds
-the ``Automorphism`` and the canonical forms of the first strictly shortening
-move only, and the level-set sweep canonicalises only candidates on the
-minimal level.  One scanner, ``_scan``, serves both searches: it steps
-the type-II moves in one fixed order on one substitution table per
-multiplier, an odometer that rewrites only the slots whose choice changed
-since the previous move, scores each move in the same loop and yields the
-moves whose total falls in a window the caller sets: below the current
-total for descent, which takes the first, and equal to it for the level-set
-sweep, which takes them all.
+with one stack, strip the cyclic cancellation and count.  The level-set
+sweep canonicalises only candidates on the minimal level.  One scanner,
+``_scan``, serves both searches: it steps the type-II moves in one fixed
+order on one substitution table per multiplier, an odometer that rewrites
+only the slots whose choice changed since the previous move, scores each
+move in the same loop and yields the moves whose total falls in a window
+the caller sets: below the current total for descent, which takes the
+first, and equal to it for the level-set sweep, which takes them all.
+
+One descent, ``_descend``, serves ``minimize_tuple``, ``is_primitive`` and
+the start of ``extends_to_basis``.  It works on cyclically reduced letter
+codes alone: it takes the scanner's first shortening move, maps each entry
+through that move's table with ``_image`` (the scoring loop, keeping the
+letters) and records the move as its multiplier and choices.  It builds no
+``Automorphism``, ``Word`` or canonical form on the way; ``minimize_tuple``
+builds those once, from the final entries and the recorded moves, and
+``is_primitive`` builds none.  Which rotation of an entry the descent holds
+does not matter.  A rotation of a cyclically reduced word is a conjugate of
+it, so its image under any move is a conjugate of the image, with the same
+cyclic length, and its cyclically reduced image is a rotation of the other's.
+The set of generators that occur is the same too.  So every score, every
+skip and hence every move taken agrees with a descent on canonical forms,
+and so do the lengths at which it stops.
 
 The images the odometer writes come from one plan per rank (``_block``):
 for each multiplier m, the other generators, their codes and the four
 (image, inverse image) pairs of each, as literal words of one to three
 letters, reduced as written.  Each block is cached and read by every
-sweep, and ``_move`` builds the move it takes from the same plan, with no
-reduction pass: the images under m and the inverse images under m^-1.
+sweep, and ``_move`` builds each move ``minimize_tuple`` returns from the
+same plan, with no reduction pass: the images under m and the inverse
+images under m^-1.
 
 A move whose first rewritten slot i (its last choice other than keep)
 holds a generator that no entry contains maps every entry as the block's
@@ -64,9 +78,10 @@ from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
+    _cyclic_strip,
     _inverse,
+    _least_rotation,
     _reduced,
-    cyclic_canonical,
 )
 
 
@@ -166,6 +181,25 @@ def _block(rank: int, m: int) -> tuple[
     return others, codes, pairs
 
 
+def _image(subst: Sequence[tuple[int, ...]], codes: Sequence[int]) -> tuple[int, ...]:
+    """The cyclically reduced image of the cyclic word ``codes`` under the
+    substitution table: substitute, freely reduce with one stack and strip
+    the cyclic cancellation.  Its length is the image's cyclic length."""
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for c in codes:
+        for d in subst[c]:
+            if stack and stack[-1] == d ^ 1:
+                pop()
+            else:
+                push(d)
+    start, end = 0, len(stack)
+    while end - start >= 2 and stack[start] == stack[end - 1] ^ 1:
+        start += 1
+        end -= 1
+    return tuple(stack[start:end])
+
+
 def _scan(
     alphabet: Alphabet, entries: Sequence[tuple[int, ...]], lo: int, hi: int,
     examined: int, budget: int, exhausted: str,
@@ -222,6 +256,8 @@ def _scan(
                 continue
             length = 0
             for word in entries:
+                # _image's loop, counting only: a call per entry per move
+                # would cost about a tenth of a descent
                 stack: list[int] = []
                 push, pop = stack.append, stack.pop
                 for c in word:
@@ -252,6 +288,46 @@ def _move(alphabet: Alphabet, m: int, choice: tuple[int, ...]) -> Automorphism:
     return Automorphism(alphabet, images, inverse, _trusted=True)
 
 
+def _descend(
+    alphabet: Alphabet, entries: Sequence[tuple[int, ...]], budget: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, tuple[int, ...]]]]:
+    """Greedy simultaneous descent on cyclically reduced letter codes: the
+    final entries, cyclically reduced, and the (m, choices) of each move taken.
+
+    Each step takes ``_scan``'s first strictly shortening move and maps every
+    entry through its table with ``_image``; no ``Automorphism``, ``Word`` or
+    canonical form is built.  Descent stops when a sweep finds no shortening
+    move, or, without another sweep, once the total equals the number of
+    nontrivial entries (the length floor).  The budget counts examined moves
+    over all sweeps; past it, ``BudgetExhausted`` is raised.
+    """
+    entries = list(entries)
+    total = sum(map(len, entries))
+    floor = sum(1 for codes in entries if codes)
+    moves: list[tuple[int, tuple[int, ...]]] = []
+    examined = 0
+    exhausted = f"minimization exceeded {budget} examined tuples"
+    while total > floor:
+        hit = next(_scan(alphabet, entries, 0, total - 1, examined, budget, exhausted), None)
+        if hit is None:
+            break
+        examined, m, choice, subst = hit
+        entries = [_image(subst, codes) for codes in entries]
+        total = sum(map(len, entries))
+        moves.append((m, choice))
+    return entries, moves
+
+
+def _cores(t: Sequence[Word]) -> tuple[Alphabet, list[tuple[int, ...]]]:
+    """The alphabet of a nonempty tuple and the cyclically reduced letter
+    codes of its entries."""
+    alphabet = t[0].alphabet
+    for w in t:
+        if w.alphabet != alphabet:
+            raise AlphabetMismatch("tuple entries over mixed alphabets")
+    return alphabet, [_cyclic_strip(w.letters)[1] for w in t]
+
+
 def minimize_tuple(
     t: Sequence[Word], budget: int = DEFAULT_BUDGET
 ) -> tuple[list[Word], list[Automorphism]]:
@@ -260,8 +336,9 @@ def minimize_tuple(
     Entries are handled as cyclic words; the returned tuple consists of
     canonical conjugacy representatives.  The same move is applied to every
     entry, and moves are taken while the total cyclic length strictly drops.
-    Each candidate move is scored by that length alone, on letter codes;
-    only the first strictly shortening move is built and applied.
+    The descent is ``_descend`` on letter codes; this builds the canonical
+    forms of its final entries and the ``Automorphism`` of each move it
+    recorded, once, at the end.
 
     Descent stops, without another sweep, once the total equals the number
     of nontrivial entries.  Automorphisms map the trivial class to itself
@@ -272,43 +349,32 @@ def minimize_tuple(
     """
     if not t:
         raise DegenerateInput("cannot minimize an empty tuple")
-    alphabet = t[0].alphabet
-    for w in t:
-        if w.alphabet != alphabet:
-            raise AlphabetMismatch("tuple entries over mixed alphabets")
-    current = [cyclic_canonical(w) for w in t]
-    total = sum(len(w) for w in current)
-    floor = sum(1 for w in current if w)
-    seq: list[Automorphism] = []
-    examined = 0
-    exhausted = f"minimization exceeded {budget} examined tuples"
-    while total > floor:
-        entries = [w.letters for w in current]
-        hit = next(_scan(alphabet, entries, 0, total - 1, examined, budget, exhausted), None)
-        if hit is None:
-            break
-        examined, m, choice, _ = hit
-        f = _move(alphabet, m, choice)
-        current = [cyclic_canonical(f.apply(w)) for w in current]
-        total = sum(len(w) for w in current)
-        seq.append(f)
-    return current, seq
+    alphabet, cores = _cores(t)
+    entries, moves = _descend(alphabet, cores, budget)
+    return ([_reduced(alphabet, _least_rotation(codes)[0]) for codes in entries],
+            [_move(alphabet, m, choice) for m, choice in moves])
 
 
 def is_primitive(w: Word, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether w belongs to some basis: minimal cyclic length 1."""
+    """Whether w belongs to some basis: minimal cyclic length 1.
+
+    Answered from ``_descend`` on the cyclic core of w, so it builds no
+    automorphism and no canonical form.  It takes the moves, examines the
+    moves and exhausts the budgets of ``minimize_tuple([w], budget)``, with
+    the same message.
+    """
     if not w:
         raise DegenerateInput("primitivity is undefined for the empty word")
-    minimal, _ = minimize_tuple([w], budget)
-    return len(minimal[0]) == 1
+    entries, _ = _descend(w.alphabet, [_cyclic_strip(w.letters)[1]], budget)
+    return len(entries[0]) == 1
 
 
-def _is_generator_tuple(tup: Sequence[Word]) -> bool:
+def _is_generator_tuple(tup: Sequence[tuple[int, ...]]) -> bool:
     gens = set()
-    for w in tup:
-        if len(w) != 1:
+    for codes in tup:
+        if len(codes) != 1:
             return False
-        gens.add(w.letters[0] >> 1)
+        gens.add(codes[0] >> 1)
     return len(gens) == len(tup)
 
 
@@ -317,7 +383,9 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
 
     After greedy descent, sweeps the whole level set of minimal-total-length
     tuples reachable by single type-II moves; greedy alone can land on a
-    minimal tuple other than a generator tuple.
+    minimal tuple other than a generator tuple.  Tuples of the level set are
+    kept as the least rotations of their cyclically reduced letter codes,
+    each candidate read off the scan's table with ``_image``.
 
     A tuple with more entries than the rank answers ``False`` without a
     search: r generators hold no k > r distinct ones.  Trivial entries and
@@ -336,14 +404,14 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
     for w in t:
         if not w:
             raise DegenerateInput("tuple entries must be nontrivial")
-    alphabet = t[0].alphabet
-    if len(t) > alphabet.rank and all(w.alphabet == alphabet for w in t):
+    alphabet, cores = _cores(t)
+    if len(t) > alphabet.rank:
         return False
-    start, _ = minimize_tuple(t, budget)
-    level = sum(len(w) for w in start)
-    first = tuple(start)
+    entries, _ = _descend(alphabet, cores, budget)
+    first = tuple(_least_rotation(codes)[0] for codes in entries)
     if _is_generator_tuple(first):
         return True
+    level = sum(map(len, first))
     if level == len(first):
         return False
     sweep = 2 * alphabet.rank * (4 ** (alphabet.rank - 1) - 1)  # moves per sweep
@@ -354,13 +422,9 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
     while frontier:
         next_frontier = []
         for tup in frontier:
-            entries = [w.letters for w in tup]
-            for _, _, _, subst in _scan(alphabet, entries, level, level,
+            for _, _, _, subst in _scan(alphabet, tup, level, level,
                                         examined, budget, exhausted):
-                candidate = tuple(
-                    cyclic_canonical(Word(alphabet, _substitute(subst, codes)))
-                    for codes in entries
-                )
+                candidate = tuple(_least_rotation(_image(subst, codes))[0] for codes in tup)
                 if candidate in visited:
                     continue
                 if _is_generator_tuple(candidate):

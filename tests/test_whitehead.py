@@ -9,6 +9,7 @@ from freefold.whitehead import (
     Automorphism,
     BudgetExhausted,
     _block,
+    _descend,
     _move,
     _scan,
     extends_to_basis,
@@ -415,6 +416,24 @@ def _outcome(fn, *args):
         return type(exc).__name__
 
 
+def _message(fn, *args):
+    """The answer of ``fn``, or the name and message of what it raised."""
+    try:
+        return fn(*args)
+    except (BudgetExhausted, DegenerateInput) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _primitive(t, budget):
+    return is_primitive(t[0], budget)
+
+
+def _naive_primitive(t, budget):
+    """Primitivity read off the apply-everything descent of the one entry."""
+    minimal, _ = naive_minimize_tuple(t, budget)
+    return len(minimal[0]) == 1
+
+
 def _descent_key(result):
     if isinstance(result, str):
         return result
@@ -451,6 +470,9 @@ def test_descent_matches_apply_everything_oracle():
         got = _outcome(minimize_tuple, t, budget)
         want = _outcome(naive_minimize_tuple, t, budget)
         assert _descent_key(got) == _descent_key(want), (t, budget)
+        if len(t) == 1 and t[0]:
+            # is_primitive runs its own descent, not minimize_tuple's
+            assert _message(_primitive, t, budget) == _message(_naive_primitive, t, budget)
         # a rank-5 level set can take more than 10^6 examined tuples
         budget = min(budget, 2_000)
         got = _outcome(extends_to_basis, t, budget)
@@ -484,8 +506,41 @@ def test_budgets_run_out_where_the_oracle_does():
               for trial, rank in enumerate((3, 4) * 6 + (5,) * 3)]
     for t in cases:
         for fn, oracle in ((minimize_tuple, naive_minimize_tuple),
-                           (extends_to_basis, naive_extends_to_basis)):
+                           (extends_to_basis, naive_extends_to_basis),
+                           (_primitive, _naive_primitive)):
             least = _least_budget(fn, t)
             assert _outcome(oracle, t, least) != "BudgetExhausted", (t, least)
             if least:
                 assert _outcome(oracle, t, least - 1) == "BudgetExhausted", (t, least)
+                # with the oracle's message
+                assert _message(fn, t, least - 1) == _message(oracle, t, least - 1)
+
+
+def _rotation_free(al, entries, budget):
+    """``_descend``'s moves and its final entries as cyclic words, or the
+    message it ran out with."""
+    try:
+        final, moves = _descend(al, entries, budget)
+    except BudgetExhausted as exc:
+        return str(exc)
+    return [cyclic_canonical(Word(al, codes)) for codes in final], moves
+
+
+def test_descent_does_not_depend_on_the_rotation_of_an_entry():
+    # cyclically reduced tuples over generator subsets with gaps: rotating
+    # any one entry changes neither the moves recorded nor the cyclic words
+    # reached, nor where the budget runs out
+    rng = random.Random(43)
+    for trial in range(120):
+        rank = trial % 4 + 2
+        al = Alphabet([f"x{g}" for g in range(rank)])
+        gens = rng.sample(range(rank), rng.randint(1, rank))
+        codes = [2 * g + s for g in gens for s in (0, 1)]
+        entries = [cyclic_canonical(Word(al, rng.choices(codes, k=rng.randint(1, 10)))).letters
+                   for _ in range(rng.randint(1, 3))]
+        budget = rng.choice((400, 10**5, 10**5))
+        want = _rotation_free(al, entries, budget)
+        for j, e in enumerate(entries):
+            for k in range(1, len(e)):
+                rotated = entries[:j] + [e[k:] + e[:k]] + entries[j + 1:]
+                assert _rotation_free(al, rotated, budget) == want, (entries, j, k)
