@@ -5,13 +5,13 @@ The package splits along what the objects are:
 * :mod:`freefold.words` - reduced words, conjugacy, roots, centralizers
 * :mod:`freefold.graphs` - folded subgroup graphs, membership, bases
 * :mod:`freefold.whitehead` - Whitehead moves, primitivity, basis extension
-* :mod:`freefold.abelian` - exponent vectors and Smith normal form
+* :mod:`freefold.abelian` - exponent vectors, the abelian obstruction (no Smith normal form)
 * :mod:`freefold.cosets` - conjugacy/coset equivalence relations, double cosets
 * :mod:`freefold.chain` - the glued-surface witness groups and their checks
 * :mod:`freefold.cli` - the ``freefold`` command
 """
 
-from .abelian import exponent_vector, is_basis_extendable_abelian, smith_normal_form
+from .abelian import exponent_vector, is_basis_extendable_abelian
 from .chain import (
     SurfaceChain,
     SurfaceRewrite,

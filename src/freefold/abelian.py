@@ -1,12 +1,11 @@
-"""Abelianized invariants: exponent vectors, Smith normal form over Z, and
-the abelian obstruction to extending a tuple to a basis.
+"""Abelianized invariants: exponent vectors and the abelian obstruction to
+extending a tuple to a basis.
 
-All arithmetic is exact (Python bignums), so entries cannot overflow.
-``smith_normal_form`` computes only the elementary divisors; the
-unimodular factors are never needed here.  The extendability test needs
-less still: whether the maximal minors are coprime, which column
-reduction answers with one extended gcd per pair of columns; the last row
-is decided by the gcd of its remaining entries alone, with no column step.
+All arithmetic is exact (Python bignums), so entries cannot overflow.  The
+extendability test needs no Smith normal form, only whether the maximal
+minors are coprime, which column reduction answers with one extended gcd
+per pair of columns; the last row is decided by the gcd of its remaining
+entries alone, with no column step.
 """
 
 from __future__ import annotations
@@ -26,80 +25,6 @@ def exponent_vector(w: Word) -> IntVector:
     for c in w.letters:
         counts[c >> 1] += -1 if c & 1 else 1
     return tuple(counts)
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Elementary divisors d_1 | d_2 | ... of an integer matrix, zeros last.
-
-    Classic pivot reduction: bring the absolutely smallest entry to the
-    corner, kill its row and column by division with remainder, make the
-    pivot divide the rest of the submatrix, recurse.  Returns min(R, C)
-    nonnegative divisors.  Entries must be integers; anything else, a float
-    included, raises ``ValueError`` rather than being truncated.
-    """
-    try:
-        m = [[index(x) for x in r] for r in rows]
-    except TypeError as exc:
-        raise ValueError(f"matrix entries must be integers: {exc}") from None
-    if not m or not m[0]:
-        raise DegenerateInput("smith normal form of an empty matrix")
-    if any(len(r) != len(m[0]) for r in m):
-        raise ValueError("matrix is not rectangular")
-    nr, nc = len(m), len(m[0])
-    divisors: list[int] = []
-
-    for t in range(min(nr, nc)):
-        while True:
-            # locate a pivot: smallest nonzero entry of the t.. submatrix
-            pivot = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            m[t], m[pi] = m[pi], m[t]
-            for r in m:
-                r[t], r[pj] = r[pj], r[t]
-            p = m[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                q = m[i][t] // p
-                if q:
-                    for j in range(t, nc):
-                        m[i][j] -= q * m[t][j]
-                if m[i][t]:
-                    dirty = True
-            for j in range(t + 1, nc):
-                q = m[t][j] // p
-                if q:
-                    for i in range(t, nr):
-                        m[i][j] -= q * m[i][t]
-                if m[t][j]:
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide everything that remains
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            for j in range(t, nc):
-                m[t][j] += m[bad][j]
-        divisors.append(abs(m[t][t]) if t < nr and t < nc else 0)
-
-    # the division chain holds by construction; normalize zeros to the tail
-    nonzero = [d for d in divisors if d]
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
-    return nonzero + [0] * (min(nr, nc) - len(nonzero))
 
 
 def is_basis_extendable_abelian(vectors: Sequence[Sequence[int]]) -> bool:

@@ -35,16 +35,17 @@ from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
+    _cyclic_root,
     _inverse,
     _join_all,
     _reduced,
+    _same_root,
     commutator,
     conjugate,
     cyclic_canonical,
     invert,
     multiply,
     restrict_word,
-    root,
 )
 
 PASS = "pass"
@@ -546,21 +547,23 @@ def orbit_distinct_check(
     check_suffix: str = "",
 ) -> VerificationReport:
     """Images of g under family(0..N) must be pairwise non-conjugate with
-    pairwise distinct centralizers."""
+    pairwise distinct centralizers.  N must be at least 1: with one image
+    no pair is compared, and an empty comparison is no evidence."""
+    if N < 1:
+        raise ValueError(f"orbit check needs N >= 1, got {N}")
     if not g:
         raise DegenerateInput("orbit check needs a nontrivial element")
     started = time.perf_counter()
     images = [family(k).apply(g) for k in range(N + 1)]
     keys = [cyclic_canonical(w).letters for w in images]
-    roots = [root(w)[0] for w in images]
-    inverse_roots = [invert(r) for r in roots]
+    roots = [_cyclic_root(w.letters) for w in images]
     params = {"N": N}
     check = "orbit_distinct" + (f"[{check_suffix}]" if check_suffix else "")
     for p in range(N + 1):
         for q in range(p + 1, N + 1):
             # conjugate, or <root> equal: the tests of words.is_conjugate
             # and words.centralizer_equal, on forms computed once per image
-            if keys[p] == keys[q] or roots[p] in (roots[q], inverse_roots[q]):
+            if keys[p] == keys[q] or _same_root(roots[p], roots[q]):
                 params = {**params, "p": p, "q": q}
                 return _finish(
                     check, params, [str(images[p]), str(images[q])], started

@@ -34,7 +34,8 @@ first, and equal to it for the level-set sweep, which takes them all.
 One descent, ``_descend``, serves ``minimize_tuple``, ``is_primitive`` and
 the start of ``extends_to_basis``.  It works on cyclically reduced letter
 codes alone: it takes the scanner's first shortening move, maps each entry
-through that move's table with ``_image`` (the scoring loop, keeping the
+through that move's table with ``_image`` (``words._reduce_codes`` and
+``words._cyclic_strip``, the kernels the scoring loop inlines, keeping the
 letters) and records the move as its multiplier and choices.  It builds no
 ``Automorphism``, ``Word`` or canonical form on the way; ``minimize_tuple``
 builds those once, from the final entries and the recorded moves, and
@@ -81,6 +82,7 @@ from .words import (
     _cyclic_strip,
     _inverse,
     _least_rotation,
+    _reduce_codes,
     _reduced,
 )
 
@@ -183,21 +185,9 @@ def _block(rank: int, m: int) -> tuple[
 
 def _image(subst: Sequence[tuple[int, ...]], codes: Sequence[int]) -> tuple[int, ...]:
     """The cyclically reduced image of the cyclic word ``codes`` under the
-    substitution table: substitute, freely reduce with one stack and strip
-    the cyclic cancellation.  Its length is the image's cyclic length."""
-    stack: list[int] = []
-    push, pop = stack.append, stack.pop
-    for c in codes:
-        for d in subst[c]:
-            if stack and stack[-1] == d ^ 1:
-                pop()
-            else:
-                push(d)
-    start, end = 0, len(stack)
-    while end - start >= 2 and stack[start] == stack[end - 1] ^ 1:
-        start += 1
-        end -= 1
-    return tuple(stack[start:end])
+    substitution table: substitute, freely reduce and strip the cyclic
+    cancellation.  Its length is the image's cyclic length."""
+    return _cyclic_strip(_reduce_codes(_substitute(subst, codes)))[1]
 
 
 def _scan(
@@ -256,8 +246,9 @@ def _scan(
                 continue
             length = 0
             for word in entries:
-                # _image's loop, counting only: a call per entry per move
-                # would cost about a tenth of a descent
+                # _image's kernels, words._reduce_codes and
+                # words._cyclic_strip, inlined and counting only: a call per
+                # entry per move would cost about a tenth of a descent
                 stack: list[int] = []
                 push, pop = stack.append, stack.pop
                 for c in word:

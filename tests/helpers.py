@@ -2,7 +2,7 @@
 reference fold and basis test, the reference least rotation, the
 step-by-step surface residue, the fold-based flag check, the reference ball
 scan, the full set of Whitehead moves, the reference Whitehead descent, the
-round-based coset automaton and the Smith-normal-form extendability test."""
+round-based coset automaton and the maximal-minor extendability test."""
 
 from __future__ import annotations
 
@@ -10,10 +10,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from math import gcd
 from typing import Iterable, Sequence
 
-from freefold.abelian import smith_normal_form
 from freefold.chain import (
     BUDGET,
     DEFAULT_SCAN_CAP,
@@ -641,19 +641,43 @@ def naive_build_coset_automaton(u: Word, z_mid: Word, v: Word) -> NaiveCosetAuto
     return NaiveCosetAutomaton(free, initial, accepting, frozenset(edges), frozenset(eps))
 
 
-# -- the Smith-normal-form extendability test ----------------------------------
+# -- the maximal-minor extendability test -------------------------------------
+
+
+def bareiss_determinant(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    elimination (Bareiss, Math. Comp. 1968): each division is exact."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for i in range(n - 1):
+        if not m[i][i]:
+            swap = next((j for j in range(i + 1, n) if m[j][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        for j in range(i + 1, n):
+            for l in range(i + 1, n):
+                m[j][l] = (m[j][l] * m[i][i] - m[j][i] * m[i][l]) // prev
+        prev = m[i][i]
+    return sign * m[-1][-1]
+
+
+def maximal_minor_gcd(rows: Sequence[Sequence[int]]) -> int:
+    """The gcd of the k x k minors of a k x n integer matrix with k <= n."""
+    k, n = len(rows), len(rows[0])
+    return gcd(*(bareiss_determinant([[r[c] for c in cols] for r in rows])
+                 for cols in combinations(range(n), k)))
 
 
 def naive_is_basis_extendable_abelian(vectors: Sequence[Sequence[int]]) -> bool:
-    """Whether the rows extend to a basis of the integer lattice.
+    """Whether the k rows extend to a basis of the integer lattice Z^n.
 
-    True iff the matrix has full row rank and every elementary divisor is 1.
-    Test oracle for ``freefold.abelian.is_basis_extendable_abelian``, which
-    decides the same question by column reduction.
+    True iff k <= n and the k x k minors have gcd 1, the criterion that
+    ``freefold.abelian.is_basis_extendable_abelian`` proves in its docstring
+    and decides by column reduction.  Test oracle for it.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         raise DegenerateInput("no vectors given")
-    divisors = smith_normal_form(vecs)
-    nonzero = [d for d in divisors if d]
-    return len(nonzero) == len(vecs) and all(d == 1 for d in nonzero)
+    return len(vecs) <= len(vecs[0]) and maximal_minor_gcd(vecs) == 1

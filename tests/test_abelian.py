@@ -1,15 +1,19 @@
 import random
+from itertools import permutations
+from math import prod
 
 import pytest
 
-from freefold.abelian import (
-    exponent_vector,
-    is_basis_extendable_abelian,
-    smith_normal_form,
-)
+from freefold.abelian import exponent_vector, is_basis_extendable_abelian
 from freefold.whitehead import extends_to_basis
 from freefold.words import Alphabet, DegenerateInput, commutator, conjugate, multiply
-from helpers import naive_is_basis_extendable_abelian, random_word, whitehead_generators
+from helpers import (
+    bareiss_determinant,
+    maximal_minor_gcd,
+    naive_is_basis_extendable_abelian,
+    random_word,
+    whitehead_generators,
+)
 
 AB = Alphabet.parse("a0,b0")
 ABC = Alphabet.parse("a0,b0,c0")
@@ -34,29 +38,8 @@ def test_exponent_vector_is_additive_and_conjugation_invariant():
         assert exponent_vector(conjugate(u, g)) == eu
 
 
-def test_smith_normal_form_examples():
-    assert smith_normal_form([[2, 0], [0, 1]]) == [1, 2]
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_normal_form([[1, 0, 0], [-1, 0, 0]]) == [1, 0]
-
-
-def test_smith_normal_form_known_values():
-    assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
-    assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
-    assert smith_normal_form([[6]]) == [6]
-
-
-def test_smith_normal_form_rejects_bad_shapes():
-    with pytest.raises(DegenerateInput):
-        smith_normal_form([])
-    with pytest.raises(ValueError):
-        smith_normal_form([[1, 2], [3]])
-
-
 def test_non_integer_entries_are_rejected_not_truncated():
     for rows in ([[2.5, 0], [0, 1]], [[1.9, 0]], [[1, "2"]], [[1, 2], [3, None]]):
-        with pytest.raises(ValueError):
-            smith_normal_form(rows)
         with pytest.raises(ValueError):
             is_basis_extendable_abelian(rows)
 
@@ -87,27 +70,39 @@ def unimodular_scramble(rng, m):
     return m
 
 
-def test_smith_normal_form_unimodular_invariance():
+def test_unimodular_operations_keep_extendability():
+    # row and column unimodular operations keep the gcd of the maximal
+    # minors, which decides extendability
     rng = random.Random(7)
+    answers = set()
     for _ in range(120):
         m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
-        expected = smith_normal_form(m)
-        assert smith_normal_form(unimodular_scramble(rng, m)) == expected
+        expected = is_basis_extendable_abelian(m)
+        scrambled = unimodular_scramble(rng, m)
+        assert maximal_minor_gcd(scrambled) == maximal_minor_gcd(m)
+        assert is_basis_extendable_abelian(scrambled) == expected
+        answers.add(expected)
+    assert answers == {True, False}
 
 
-def test_divisor_chain_and_sign():
-    rng = random.Random(9)
-    for _ in range(100):
-        m = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]]
-        m = [m[0][:] for _ in range(rng.randint(1, 4))]
-        for row in m[1:]:
-            for i in range(len(row)):
-                row[i] = rng.randint(-9, 9)
-        ds = smith_normal_form(m)
-        assert all(d >= 0 for d in ds)
-        nonzero = [d for d in ds if d]
-        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
-        assert ds == nonzero + [0] * (len(ds) - len(nonzero))
+def test_maximal_minor_gcd_is_the_product_of_elementary_divisors():
+    # the oracle itself: d_1 ... d_k, from known Smith normal forms
+    assert maximal_minor_gcd([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == 2 * 2 * 156
+    assert maximal_minor_gcd([[2, 0], [0, 1]]) == 2
+    assert maximal_minor_gcd([[1, 0, 0], [-1, 0, 0]]) == 0
+    assert maximal_minor_gcd([[1, 0, 0], [0, 2, 3]]) == 1
+    assert maximal_minor_gcd([[6]]) == 6
+    # Bareiss against the Leibniz expansion, zero pivots included
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        leibniz = sum(
+            (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+            * prod(m[i][p[i]] for i in range(n))
+            for p in permutations(range(n))
+        )
+        assert bareiss_determinant(m) == leibniz, m
 
 
 def test_is_basis_extendable_abelian_examples():
@@ -142,7 +137,7 @@ def _unimodular_rows(rng, n):
     return matrix
 
 
-def test_column_reduction_matches_smith_normal_form_oracle():
+def test_column_reduction_matches_maximal_minor_oracle():
     rng = random.Random(13)
     for q in range(5200):
         n = rng.randint(1, 6)

@@ -561,6 +561,10 @@ def test_orbit_distinct_failures():
     assert inverting.witnesses == ["x", "x^-1"]
     with pytest.raises(DegenerateInput):
         orbit_distinct_check(family, xyz.identity(), 3)
+    # N = 0 compares no pair, and an empty comparison is no evidence
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N >= 1"):
+            orbit_distinct_check(lambda k: same, x, N)
 
 
 # -- conjugacy separation ---------------------------------------------------------

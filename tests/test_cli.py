@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import time
 
 import jsonschema
@@ -313,3 +314,43 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_missing_required_flag_exits_2(capsys):
     assert main(["verify", "--lemma", "all"]) == 2
+
+
+# The lines of the CI step that runs the installed ``freefold`` script, with
+# the exit code each must give; the comments there say why each holds.
+CONSOLE_SCRIPT_LINES = [
+    ('verify --n 16 --lemma all --format json', 0),
+    ('verify --n 128 --lemma all --format json', 0),
+    ('verify --n 16 --lemma all --format json --flip-convention', 1),
+    ('eq e3 --alphabet a,b a b "a^2 b^3" a b 1', 0),
+    ('eq e3 --alphabet a,b a b "a b a" a b 1', 1),
+    ('eq e1 --alphabet a,b --m 2 a b a "b a^4"', 0),
+    ('eq e1 --alphabet a,b --m 2 a b a "b a^3"', 1),
+    ('eq e2 --alphabet a,b --m 2 a b a "a^4 b"', 0),
+    ('eq e2 --alphabet a,b --m 2 a b a "a^3 b"', 1),
+    ('eq e3 --alphabet a,b --m 3 a b a a b a', 2),
+    ('eq e3 --alphabet r,s r "s^-1 r^-1 s" "r^20 s" r "s^-1 r^-1 s" s', 0),
+    ('eq e3 --alphabet r,s r "s^-1 r^-1 s" "r^20 s^2" r "s^-1 r^-1 s" s', 1),
+    ('primitive --alphabet a,b,c --budget 1 b', 0),
+    ('primitive --alphabet a,b --budget 1 "a b a b^-1"', 3),
+    ('primitive --alphabet x0,x1,x2,x3,x4 "x4 x3 x4 x1 x0 x4^-1 x1^-1"', 0),
+    ('primitive --alphabet x0,x1,x2,x3,x4 "x3 x0 x3^-1 x4^-1 x3 x0 x3^-1 x4^-1"', 1),
+    ('member --alphabet a,b --gen "a^2" --gen b "b a^2 b^-1"', 0),
+    ('member --alphabet a,b --gen "a^2" --gen b "a b a"', 1),
+    ('member --alphabet a,b --gen 1 a', 1),
+    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 3396 "x2 x1 x2 x0 x1^-1 x2"', 0),
+    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 3395 "x2 x1 x2 x0 x1^-1 x2"', 3),
+    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 4320 "x2 x0 x2^-1 x1 x2 x0 x2^-1 x1^-1"', 1),
+    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 4319 "x2 x0 x2^-1 x1 x2 x0 x2^-1 x1^-1"', 3),
+    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 4380 "x2 x4 x0 x2 x4^-1 x2"', 0),
+    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 4379 "x2 x4 x0 x2 x4^-1 x2"', 3),
+    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 2553 "x0 x2 x0^-1 x4 x0 x2^-1 x0^-1 x4^-1"', 1),
+    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 2552 "x0 x2 x0^-1 x4 x0 x2^-1 x0^-1 x4^-1"', 3),
+    ('primitive --alphabet x0,x1,x2 --budget 373 "x2 x0 x1 x2^3 x1^-1 x2^2 x0 x1 x2"', 0),
+    ('primitive --alphabet x0,x1,x2 --budget 372 "x2 x0 x1 x2^3 x1^-1 x2^2 x0 x1 x2"', 3),
+]
+
+
+@pytest.mark.parametrize("line, expected", CONSOLE_SCRIPT_LINES)
+def test_console_script_lines_exit_codes(capsys, line, expected):
+    assert main(shlex.split(line)) == expected
