@@ -23,6 +23,7 @@ runner; ``run_checks`` runs one or all of them for ``freefold verify``.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -332,13 +333,97 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
     return SurfaceRewrite(new_basis, residue)
 
 
+def _flip_stable_letters(codes: Sequence[int]) -> tuple[int, ...]:
+    """sigma: t_i -> t_i^-1 for every i, fixing every other letter, on
+    letter codes (the t letters sit at positions 3, 6, 9, ...)."""
+    return tuple([c ^ 1 if c > 1 and (c >> 1) % 3 == 0 else c for c in codes])
+
+
+def _last_boundary(n: int) -> tuple[int, ...]:
+    """The letters of ``build_chain(n).d[n]``, in O(n).
+
+    c_0 = c0 and c_{i+1} = t_i^-1 c_i^-1 [b_i, a_i] t_i, so d_n =
+    c_n^-1 [b_n, a_n] is built in n + 1 steps, each of which inverts the
+    word so far and puts O(1) letters at its ends.  The word is kept in a
+    deque with a flag for whether the deque holds it or its inverse, so no
+    step copies it.  No junction cancels: c_i^-1 begins with t_{i-1}^-1 or
+    c0^-1 and ends with t_{i-1} or c0^-1, next to t_i^-1 and b_i, letters
+    on other generators, and [b_i, a_i] t_i is reduced.
+    """
+    word, inverted = deque([0]), False
+    for i in range(n + 1):
+        a, b, t = 6 * i + 2, 6 * i + 4, 6 * i + 6  # a_i, b_i, t_i
+        inverted = not inverted
+        head, tail = ((t ^ 1,), (b, a, b ^ 1, a ^ 1, t)) if i < n else ((), (b, a, b ^ 1, a ^ 1))
+        if inverted:  # put head before and tail after the inverse of the deque
+            head, tail = _inverse(tail), _inverse(head)
+        word.extendleft(reversed(head))
+        word.extend(tail)
+    letters = tuple(word)
+    return _inverse(letters) if inverted else letters
+
+
+def _relator_residue(n: int, c0: tuple[int, ...], d_n: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of the identity residue of ``surface_rewrite``'s relator
+    at depth n, with ``c0`` and ``d_n`` for the chain's c_0 and d_n, from
+    O(n) pieces of O(1) letters (``verify_surface_rewrite``).
+
+    By ``chain_alphabet``, a_j, b_j and t_j have the codes 6j + 2, 6j + 4
+    and 6j + 6, and their inverses one more.
+    """
+    pieces = [_inverse(c0), (4, 2, 5, 3)]
+    for j in range(2, n + 1, 2):  # t_{j-2} t_{j-1} [b_j, a_j]
+        a, b = 6 * j + 2, 6 * j + 4
+        pieces.append((6 * j - 6, 6 * j, b, a, b ^ 1, a ^ 1))
+    pieces.append(_inverse(d_n))
+    for j in range(n - 1, 0, -2):  # t_j^-1 [a_j, b_j] t_{j-1}^-1
+        a, b = 6 * j + 2, 6 * j + 4
+        pieces.append((6 * j + 7, a, b, a ^ 1, b ^ 1, 6 * j + 1))
+    return _join_all(pieces)
+
+
 def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
     """Certify the rewrite: an empty residue, a genuine new basis, and that
     exactly one of the two gluing conventions closes the relator.
 
-    Neither convention's new basis is built: the check reads the residues
-    and d'_n off ``_primed``, and the basis of ``surface_rewrite`` has
-    3n + 3 words (a0, b0, then t_{j-1} and a handle for each j, then d'_n).
+    The check costs O(n) letters: it reads c_0 and d_n of the chain and
+    builds the other convention's d_n, and it neither reads ``chain.s``
+    (O(n^2) letters) nor builds another chain.
+
+    Own residue.  The relator's pieces are c0^-1, [b0,a0], the ascending
+    even handles [b'_j,a'_j] = s_{j-1}^-1 [b_j,a_j] s_{j-1}, then
+    d'_n^-1 = s_{n-1}^-1 d_n^-1 s_{n-1}, then the descending odd handles
+    [a'_j,b'_j] = s_{j-1}^-1 [a_j,b_j] s_{j-1}.  The conjugators of
+    neighbouring pieces meet and cancel to a few t letters (s_{j-1}^-1 =
+    t_0 ... t_{j-1}): s_{j-1} s_{j+1}^-1 = t_j t_{j+1} between ascending
+    stages, s_{j-1} s_{j-3}^-1 = t_{j-1}^-1 t_{j-2}^-1 between descending
+    ones, nothing before d'_n^-1 (the conjugator of stage n is s_{n-1}), and
+    s_{n-1} s_{n-2}^-1 = t_{n-1}^-1 after it.  The outer ends leave
+    s_1^-1 = t_0 t_1 before stage 2 and s_0 = t_0^-1 at the end.  So the
+    relator equals, in the free group, the product of c0^-1, [b0,a0],
+    t_{j-2} t_{j-1} [b_j,a_j] for even j, d_n^-1 and
+    t_j^-1 [a_j,b_j] t_{j-1}^-1 for odd j descending
+    (``_relator_residue``), and a free reduction of either product gives
+    the same reduced word.  d'_n is reduced from three pieces in the same
+    way.
+
+    The other convention's residue.  sigma: t_i -> t_i^-1, fixing every
+    other letter (``_flip_stable_letters``), maps ``build_chain(n)`` onto
+    ``build_chain(n, True)`` word for word: sigma fixes c_0 and [a_i,b_i],
+    so sigma(d_i) = sigma(c_i)^-1 [a_i,b_i]^-1, and sigma(t_i^-1 d_i t_i) =
+    t_i sigma(d_i) t_i^-1, the other recursion.  sigma permutes the letter
+    codes, commutes with inversion and takes no letter to the inverse of
+    another, so it keeps words reduced and maps reduced forms letter for
+    letter.  The residue reads s from t letters alone, so the same t pieces
+    serve both conventions, and the other one's residue is
+    ``_relator_residue`` with c0 and the other convention's d_n, which is
+    ``_last_boundary(n)``, with sigma applied when that convention inverts
+    the stable letters.  It is built from scratch, never from the chain
+    handed in.
+
+    Neither convention's new basis is built: the basis of
+    ``surface_rewrite`` has 3n + 3 words (a0, b0, then t_{j-1} and a handle
+    for each j, then d'_n).
     The new basis is a basis exactly when d'_n, its last word, has one c0
     letter (``_c0_once``).  Each s_{j-1} is a word in t letters, which
     psi: a_j -> a'_j, b_j -> b'_j (j >= 1) fixes with every other letter,
@@ -357,17 +442,21 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
     n = chain.n
     _require("surface", n)
     witnesses = []
-    _, d_np, residue = _primed(chain)
+    d_n = chain.d[n].letters
+    residue = _relator_residue(n, chain.c[0].letters, d_n)
     if residue:
-        witnesses.append(f"primed residue: {residue}")
-    if not _c0_once(d_np):
+        witnesses.append(f"primed residue: {_reduced(chain.alphabet, residue)}")
+    conjugator = tuple(range(6, 6 * n + 1, 6))  # s_{n-1}^-1 = t_0 ... t_{n-1}
+    if not _c0_once(_reduced(chain.alphabet, _join_all((conjugator, d_n, _inverse(conjugator))))):
         witnesses.append("rewritten generating set is not a basis")
-    flipped = build_chain(n, inverted_stable_letters=not chain.inverted_stable_letters)
-    other = _primed(flipped)[2]
+    other_d_n = _last_boundary(n)
+    if not chain.inverted_stable_letters:
+        other_d_n = _flip_stable_letters(other_d_n)
+    other = _relator_residue(n, (0,), other_d_n)
     if bool(residue) == bool(other):
         witnesses.append(
             "conventions are not separated: flipped-residue "
-            f"{'empty' if not other else str(other)}"
+            f"{'empty' if not other else _reduced(chain_alphabet(n), other)}"
         )
     params = {
         "n": n,

@@ -14,6 +14,7 @@ notes of skipped checks go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -237,10 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reads every argument list with: parsing keeps
+    no state on it, so it is built once per process, not once per call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -2,38 +2,34 @@
 
 The classical facts this module leans on: a tuple of conjugacy classes of
 total cyclic length above its automorphism-orbit minimum admits a single
-type-II move that strictly shortens it (peak reduction), and two minimal
-tuples in the same orbit are connected by type-II moves through tuples of
-the same total length.  Greedy descent therefore finds the minimum, and a
-breadth-first sweep of the bottom level decides whether the orbit contains
-a tuple of distinct generators.
+type-II move that strictly shortens it (peak reduction).  Greedy descent
+therefore finds the minimum.
 
-Both searches also stop at the length floor.  An automorphism keeps the
-trivial class trivial and every other class nontrivial, of cyclic length at
-least 1, so no tuple in the orbit is shorter than its number of nontrivial
-entries.  Descent that reaches that total stops without another sweep, and
-basis extension answers there without the level-set sweep: each entry is
-one letter, and an automorphism takes two letters on one generator to
-powers of one element, never to conjugates of distinct generators.
+Descent also stops at the length floor.  An automorphism keeps the trivial
+class trivial and every other class nontrivial, of cyclic length at least
+1, so no tuple in the orbit is shorter than its number of nontrivial
+entries.  Descent that reaches that total stops without another sweep.  A
+tuple of distinct generators sits at the floor, so basis extension needs
+no search beyond descent: a descent that ends above the floor rules it
+out, and at the floor each entry is one letter, and an automorphism takes
+two letters on one generator to powers of one element, never to
+conjugates of distinct generators.
 
-Signed basis permutations (type I) never change lengths and preserve the
-"distinct generators" target, so the searches only ever apply type-II moves.
+Signed basis permutations (type I) never change lengths, so descent only
+ever applies type-II moves.
 
 Only the cyclic length of the images decides a step (Gersten, "On
 Whitehead's algorithm", Bull. AMS 1984; Roig, Ventura and Weil, IJAC 2007).
 So each candidate move is scored on letter codes: substitute, freely reduce
-with one stack, strip the cyclic cancellation and count.  The level-set
-sweep canonicalises only candidates on the minimal level.  One scanner,
-``_scan``, serves both searches: it steps the type-II moves in one fixed
-order on one substitution table per multiplier, an odometer that rewrites
-only the slots whose choice changed since the previous move, scores each
-move in the same loop and yields the moves whose total falls in a window
-the caller sets: below the current total for descent, which takes the
-first, and equal to it for the level-set sweep, which takes them all.
+with one stack, strip the cyclic cancellation and count.  One scanner,
+``_scan``, steps the type-II moves in one fixed order on one substitution
+table per multiplier, an odometer that rewrites only the slots whose choice
+changed since the previous move, scores each move in the same loop and
+yields the moves whose total falls below the current total.
 
 One descent, ``_descend``, serves ``minimize_tuple``, ``is_primitive`` and
-the start of ``extends_to_basis``.  It works on cyclically reduced letter
-codes alone: it takes the scanner's first shortening move, maps each entry
+``extends_to_basis``.  It works on cyclically reduced letter codes alone:
+it takes the scanner's first shortening move, maps each entry
 through that move's table with ``_image`` (``words._reduce_codes`` and
 ``words._cyclic_strip``, the kernels the scoring loop inlines, keeping the
 letters) and records the move as its multiplier and choices.  It builds no
@@ -63,9 +59,7 @@ entries never read.  The scanner counts such a move against the budget but
 neither scores nor yields it, wherever slot i lies, and that loses nothing.
 The earlier move was scored, or was skipped in turn and repeats a move
 still earlier.  In descent that move was either taken, ending the sweep, or
-not shorter; the identity is not shorter.  In the level-set sweep it
-produced a candidate already visited, and the identity produces the tuple
-itself, which was visited before it was swept.
+not shorter; the identity is not shorter.
 """
 
 from __future__ import annotations
@@ -191,12 +185,12 @@ def _image(subst: Sequence[tuple[int, ...]], codes: Sequence[int]) -> tuple[int,
 
 
 def _scan(
-    alphabet: Alphabet, entries: Sequence[tuple[int, ...]], lo: int, hi: int,
+    alphabet: Alphabet, entries: Sequence[tuple[int, ...]], total: int,
     examined: int, budget: int, exhausted: str,
 ) -> Iterator[tuple[int, int, tuple[int, ...], list[tuple[int, ...]]]]:
     """Step through the type-II moves, score each on ``entries`` (letter
     codes) and yield (examined, m, choices, substitution table) for the moves
-    whose images have summed cyclic length in [lo, hi].
+    whose images have summed cyclic length below ``total``.
 
     A multiplier letter m fixes itself and every other generator x goes
     independently to x, m x, x m^-1 or m x m^-1.  Moves come multiplier by
@@ -262,7 +256,7 @@ def _scan(
                     start += 1
                     end -= 1
                 length += end - start
-            if lo <= length <= hi:
+            if length < total:
                 yield examined, m, choice, subst
 
 
@@ -299,7 +293,7 @@ def _descend(
     examined = 0
     exhausted = f"minimization exceeded {budget} examined tuples"
     while total > floor:
-        hit = next(_scan(alphabet, entries, 0, total - 1, examined, budget, exhausted), None)
+        hit = next(_scan(alphabet, entries, total, examined, budget, exhausted), None)
         if hit is None:
             break
         examined, m, choice, subst = hit
@@ -372,23 +366,21 @@ def _is_generator_tuple(tup: Sequence[tuple[int, ...]]) -> bool:
 def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
     """Whether the tuple of conjugacy classes minimizes to distinct generators.
 
-    After greedy descent, sweeps the whole level set of minimal-total-length
-    tuples reachable by single type-II moves; greedy alone can land on a
-    minimal tuple other than a generator tuple.  Tuples of the level set are
-    kept as the least rotations of their cyclically reduced letter codes,
-    each candidate read off the scan's table with ``_image``.
+    Decided by greedy descent alone, and the budget counts its moves.  By
+    peak reduction, descent ends at the least total cyclic length in the
+    tuple's orbit.  A tuple that extends to a basis has a tuple of distinct
+    generators in its orbit, whose total is the number of entries, the
+    length floor.  So a descent that ends above the floor answers ``False``,
+    and one that ends at the floor, one letter per entry, answers by whether
+    those letters lie on distinct generators.  If two of them are x^e and
+    x^f on one generator x, every automorphism phi sends them to phi(x)^e
+    and phi(x)^f.  Were these conjugate to distinct generators y and z, z
+    would be conjugate to y or y^-1, which abelianization rules out.  So no
+    tuple in the orbit consists of distinct generators.
 
     A tuple with more entries than the rank answers ``False`` without a
     search: r generators hold no k > r distinct ones.  Trivial entries and
     mixed alphabets are still rejected first.
-
-    A descended tuple at the length floor, one letter per entry, that is not
-    a generator tuple answers ``False`` without the sweep.  Two of its
-    entries are then x^e and x^f on one generator x, and every automorphism
-    phi sends them to phi(x)^e and phi(x)^f.  Were these conjugate to
-    distinct generators y and z, z would be conjugate to y or y^-1, which
-    abelianization rules out.  So no tuple in the orbit consists of distinct
-    generators.
     """
     if not t:
         raise DegenerateInput("cannot test an empty tuple")
@@ -399,29 +391,4 @@ def extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> bool:
     if len(t) > alphabet.rank:
         return False
     entries, _ = _descend(alphabet, cores, budget)
-    first = tuple(_least_rotation(codes)[0] for codes in entries)
-    if _is_generator_tuple(first):
-        return True
-    level = sum(map(len, first))
-    if level == len(first):
-        return False
-    sweep = 2 * alphabet.rank * (4 ** (alphabet.rank - 1) - 1)  # moves per sweep
-    exhausted = f"basis-extension search exceeded {budget} examined tuples"
-    visited = {first}
-    frontier = [first]
-    examined = 0
-    while frontier:
-        next_frontier = []
-        for tup in frontier:
-            for _, _, _, subst in _scan(alphabet, tup, level, level,
-                                        examined, budget, exhausted):
-                candidate = tuple(_least_rotation(_image(subst, codes))[0] for codes in tup)
-                if candidate in visited:
-                    continue
-                if _is_generator_tuple(candidate):
-                    return True
-                visited.add(candidate)
-                next_frontier.append(candidate)
-            examined += sweep
-        frontier = next_frontier
-    return False
+    return _is_generator_tuple(entries)

@@ -1,8 +1,9 @@
 """Shared test utilities: seeded random words, small enumerations, the
 reference fold and basis test, the reference least rotation, the
 step-by-step surface residue, the fold-based flag check, the reference ball
-scan, the full set of Whitehead moves, the reference Whitehead descent, the
-round-based coset automaton and the maximal-minor extendability test."""
+scan, the full set of Whitehead moves, the reference Whitehead descent and
+level-set sweep, the round-based coset automaton and the maximal-minor
+extendability test."""
 
 from __future__ import annotations
 
@@ -242,7 +243,9 @@ def naive_primed_residue(chain: SurfaceChain) -> Word:
     """The surface relator's identity residue, one ``multiply`` per piece.
 
     Test oracle for ``freefold.chain._primed``, which reduces all the pieces
-    in one pass and must return the same residue.
+    in one pass, and for ``freefold.chain._relator_residue``, which cancels
+    the conjugators of neighbouring pieces first; both must return the same
+    residue.
     """
     n = chain.n
     handles = [(conjugate(chain.a(i), chain.s[i - 1]), conjugate(chain.b(i), chain.s[i - 1]))
@@ -482,9 +485,11 @@ def naive_extends_to_basis(t: Sequence[Word], budget: int = DEFAULT_BUDGET) -> b
     """Descend with ``naive_minimize_tuple``, then sweep the level set,
     canonicalising every candidate.
 
-    Test oracle for ``freefold.whitehead.extends_to_basis``, which must give
-    the same answer and exhaust the same budgets.  A descended tuple of single
-    letters that is not a generator tuple answers ``False`` unswept, as there.
+    Test oracle for ``freefold.whitehead.extends_to_basis``, which runs no
+    sweep: where this answers, the two answers agree, and where this runs
+    out in the sweep, the library answers ``False`` from a descent that ends
+    above the length floor.  A descended tuple of single letters that is not
+    a generator tuple answers ``False`` unswept, as there.
     """
     if not t:
         raise DegenerateInput("cannot test an empty tuple")

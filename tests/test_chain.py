@@ -307,6 +307,63 @@ def test_primed_residue_matches_step_by_step_oracle():
         assert chain_mod._primed(ch)[2] == naive_primed_residue(ch)
 
 
+def _telescoped(ch):
+    return chain_mod._relator_residue(ch.n, ch.c[0].letters, ch.d[ch.n].letters)
+
+
+def test_telescoped_residues_match_primed_and_step_by_step():
+    # the surface check's two residues: the chain's own from its c_0 and d_n,
+    # and a convention's from c0 and the unrolled d_n, with the stable
+    # letters flipped when that convention inverts them
+    for n in [*range(2, 41, 2), 256]:
+        for flip in (False, True):
+            ch = build_chain(n, flip)
+            want = naive_primed_residue(ch).letters
+            assert chain_mod._primed(ch)[2].letters == want
+            assert _telescoped(ch) == want
+            d_n = chain_mod._last_boundary(n)
+            if flip:
+                d_n = chain_mod._flip_stable_letters(d_n)
+            assert chain_mod._relator_residue(n, (0,), d_n) == want
+    for seed, count in ((131, 500), (137, 100), (139, 40), (149, 40), (151, 40)):
+        for ch in _perturbed_surface_chains(random.Random(seed), count):
+            want = naive_primed_residue(ch).letters
+            assert chain_mod._primed(ch)[2].letters == want
+            assert _telescoped(ch) == want
+
+
+def test_flipping_stable_letters_maps_one_convention_onto_the_other():
+    for n in range(41):
+        ch, flipped = build_chain(n), build_chain(n, inverted_stable_letters=True)
+        for w, v in zip(ch.c + ch.d, flipped.c + flipped.d, strict=True):
+            assert chain_mod._flip_stable_letters(w.letters) == v.letters
+
+
+def test_last_boundary_unrolls_d_n():
+    for n in range(65):
+        assert chain_mod._last_boundary(n) == build_chain(n).d[n].letters
+
+
+class _NoStableProducts(chain_mod.SurfaceChain):
+    @property
+    def s(self):
+        raise AssertionError("the surface check read s")
+
+
+def test_surface_check_reads_neither_s_nor_another_chain(monkeypatch):
+    def no_build(*_):
+        raise AssertionError("the surface check built a chain")
+
+    chains = [build_chain(n, flip) for n in (2, 8, 64) for flip in (False, True)]
+    want = [verify_surface_rewrite(ch) for ch in chains]
+    monkeypatch.setattr(chain_mod, "build_chain", no_build)
+    for ch, report in zip(chains, want):
+        bare = _NoStableProducts(ch.n, ch.alphabet, ch.c, ch.d, ch.inverted_stable_letters)
+        got = verify_surface_rewrite(bare)
+        assert (got.status, got.witnesses, got.params) == (
+            report.status, report.witnesses, report.params)
+
+
 def _check_report_reads_both_rewrites(chains, is_basis):
     """The surface report equals one recomputed from both conventions' full
     rewrites, with ``is_basis`` folding the built basis."""

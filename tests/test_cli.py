@@ -6,6 +6,7 @@ import time
 import jsonschema
 import pytest
 
+import freefold.cli as cli
 from freefold.chain import CHECKS, VerificationReport, flag_indices
 from freefold.cli import main
 
@@ -316,12 +317,47 @@ def test_missing_required_flag_exits_2(capsys):
     assert main(["verify", "--lemma", "all"]) == 2
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    surface = ("verify", "--n", "4", "--lemma", "surface", "--format", "json")
+    try:
+        code, out, _ = run(capsys, *surface)
+        assert code == 0 and json.loads(out)["status"] == "pass"
+        assert run(capsys, "verify", "--n", "4", "--lemma", "bogus")[0] == 2
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and "verify" in out
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0 and "--lemma" in out
+        # a repeatable option starts empty on every call
+        assert run(capsys, "member", "--alphabet", "a,b", "--gen", "a", "a")[:2] == (0, "true\n")
+        assert run(capsys, "member", "--alphabet", "a,b", "--gen", "b", "a")[:2] == (1, "false\n")
+        code, out, _ = run(capsys, *surface, "--flip-convention")
+        assert code == 1 and json.loads(out)["status"] == "fail"
+        code, out, _ = run(capsys, *surface)
+        assert code == 0 and json.loads(out)["status"] == "pass"
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+    # outside callers still get a parser of their own
+    assert real() is not real()
+
+
 # The lines of the CI step that runs the installed ``freefold`` script, with
 # the exit code each must give; the comments there say why each holds.
 CONSOLE_SCRIPT_LINES = [
     ('verify --n 16 --lemma all --format json', 0),
     ('verify --n 128 --lemma all --format json', 0),
     ('verify --n 16 --lemma all --format json --flip-convention', 1),
+    ('verify --n 1024 --lemma surface --format json', 0),
+    ('verify --n 1024 --lemma surface --format json --flip-convention', 1),
     ('eq e3 --alphabet a,b a b "a^2 b^3" a b 1', 0),
     ('eq e3 --alphabet a,b a b "a b a" a b 1', 1),
     ('eq e1 --alphabet a,b --m 2 a b a "b a^4"', 0),

@@ -66,14 +66,14 @@ def test_type_two_moves_match_oracle_enumeration():
 
 
 def test_type_two_tables_match_oracle_images():
-    # a tuple that uses every generator and an open window: every move is
+    # a tuple that uses every generator and a total no image reaches: every move is
     # scored and yielded; the yielded table is mutated by the next step, so
     # each is copied as it comes
     for rank in (1, 2, 3, 4, 5):
         al = Alphabet([f"x{g}" for g in range(rank)])
         entries = [tuple(2 * g for g in range(rank))]
         hits = [(examined, tuple(subst))
-                for examined, _, _, subst in _scan(al, entries, 0, 10**9, 0, 10**9, "")]
+                for examined, _, _, subst in _scan(al, entries, 10**9, 0, 10**9, "")]
         want = naive_type_two(al)
         assert len(hits) == len(want) == 2 * rank * (4 ** (rank - 1) - 1)
         assert [examined for examined, _ in hits] == list(range(1, len(want) + 1))
@@ -107,9 +107,9 @@ def test_plan_and_moves_match_oracle_images():
 
 
 def test_scan_skips_only_moves_that_repeat_the_images_before():
-    # entries that leave out some generators, also in the interior: under an
-    # open window the moves yielded are exactly those whose first rewritten
-    # slot i (the last nonzero choice) holds a generator some entry contains;
+    # entries that leave out some generators, also in the interior: below a
+    # total no image reaches, the moves yielded are exactly those whose first
+    # rewritten slot i (the last nonzero choice) holds a generator some entry contains;
     # every other move maps the entries as the block's earlier move with
     # slots i onward at keep does, or as the identity, and is still counted
     for rank in (2, 3, 4, 5):
@@ -123,7 +123,7 @@ def test_scan_skips_only_moves_that_repeat_the_images_before():
             t = [Word(al, [2 * g for g in gens]), Word(al, (2 * gens[-1] + 1,))]
             entries = [w.letters for w in t]
             hits = {examined: tuple(subst)
-                    for examined, _, _, subst in _scan(al, entries, 0, 10**9, 0, 10**9, "")}
+                    for examined, _, _, subst in _scan(al, entries, 10**9, 0, 10**9, "")}
             want = set()
             for j, ((m, choice), f) in enumerate(zip(choices, moves)):
                 others = [g for g in range(rank) if g != m >> 1]
@@ -140,9 +140,9 @@ def test_scan_skips_only_moves_that_repeat_the_images_before():
                 assert images == [w.letters for w in before], (gens, j)
             assert set(hits) == want, gens
             with pytest.raises(BudgetExhausted, match="^spent$"):
-                for _ in _scan(al, entries, 0, -1, 0, len(moves) - 1, "spent"):
+                for _ in _scan(al, entries, 0, 0, len(moves) - 1, "spent"):
                     pass
-            assert list(_scan(al, entries, 0, -1, 0, len(moves), "spent")) == []
+            assert list(_scan(al, entries, 0, 0, len(moves), "spent")) == []
 
 
 def test_generator_counts_rank_one():
@@ -473,14 +473,35 @@ def test_descent_matches_apply_everything_oracle():
         if len(t) == 1 and t[0]:
             # is_primitive runs its own descent, not minimize_tuple's
             assert _message(_primitive, t, budget) == _message(_naive_primitive, t, budget)
-        # a rank-5 level set can take more than 10^6 examined tuples
+        # the oracle's sweep of a rank-5 level set can take more than 10^6
+        # examined tuples
         budget = min(budget, 2_000)
         got = _outcome(extends_to_basis, t, budget)
         if len(t) > t[0].alphabet.rank and all(t):
             # more classes than generators: never a basis, answered unsearched
             assert got is False, (t, budget)
-        else:
-            assert got == _outcome(naive_extends_to_basis, t, budget), (t, budget)
+            continue
+        want = _outcome(naive_extends_to_basis, t, budget)
+        if want == "BudgetExhausted":
+            descent = _outcome(naive_minimize_tuple, t, budget)
+            if descent != "BudgetExhausted":
+                # the oracle ran out sweeping a level above the floor, which
+                # holds no tuple of distinct generators
+                assert got is False, (t, budget)
+                assert sum(len(w) for w in descent[0]) > len(t), (t, budget)
+                continue
+        assert got == want, (t, budget)
+
+
+def test_basis_extension_ends_with_descent_above_the_floor():
+    # descent ends above the floor of 2, so no tuple of distinct generators
+    # lies in the orbit; a sweep of its level set runs past 10^6 examined tuples
+    al = Alphabet([f"x{g}" for g in range(5)])
+    t = [al.word("x1^-1 x3^-1 x2 x1^-1 x0^-2 x4^2"),
+         al.word("x1 x4^2 x1^-1 x2 x0^-1 x3 x1 x0 x3^-1")]
+    assert extends_to_basis(t) is False
+    minimal, _ = naive_minimize_tuple(t)
+    assert sum(len(w) for w in minimal) > len(t)
 
 
 def _least_budget(fn, t):
