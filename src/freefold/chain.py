@@ -46,7 +46,6 @@ from .words import (
     cyclic_canonical,
     invert,
     multiply,
-    restrict_word,
 )
 
 PASS = "pass"
@@ -102,13 +101,21 @@ def _finish(check: str, params: dict, witnesses: list[str], started: float,
 
 @dataclass(frozen=True)
 class SurfaceChain:
-    """Derived-element table of the glued-surface group of depth n."""
+    """Derived-element table of the glued-surface group of depth n.
+
+    Every c- and d-word lies over the chain's alphabet (AlphabetMismatch
+    otherwise), so the checks read their letter codes directly.
+    """
 
     n: int
     alphabet: Alphabet
     c: tuple[Word, ...]
     d: tuple[Word, ...]
     inverted_stable_letters: bool = False
+
+    def __post_init__(self):
+        if any(w.alphabet != self.alphabet for w in (*self.c, *self.d)):
+            raise AlphabetMismatch("a chain word lies over another alphabet than the chain's")
 
     @cached_property
     def generators(self) -> list[Word]:
@@ -120,11 +127,8 @@ class SurfaceChain:
         return tuple((self.a(i), self.b(i), c_i) for i, c_i in enumerate(self.c))
 
     @cached_property
-    def h_reach(self) -> tuple[int, ...] | None:
-        """The largest letter position in each of ``h_tuples``, or None when
-        a c-word lies over another alphabet than the chain's."""
-        if any(c_i.alphabet != self.alphabet for c_i in self.c):
-            return None
+    def h_reach(self) -> tuple[int, ...]:
+        """The largest letter position in each of ``h_tuples``."""
         return tuple(max(map(_largest_position, t)) for t in self.h_tuples)
 
     @cached_property
@@ -198,12 +202,6 @@ def verify_relation_chain(chain: SurfaceChain) -> VerificationReport:
     return _finish("relation_chain", {"n": chain.n}, witnesses, started)
 
 
-def complement_basis(chain: SurfaceChain, j: int) -> list[Word]:
-    """Basis of the explicit complement N_j of <d_j>:
-    N_0 = <a0, b0>, N_j = N_{j-1} * <t_{j-1}> * <a_j, b_j>: positions 1 ... 3j + 2."""
-    return chain.generators[1: 3 * j + 3]
-
-
 def _c0_once(w: Word) -> bool:
     """Whether the reduced w has one c0 letter: by the lemma below, whether
     the letters of a chain stage other than c0, with w over that stage, are
@@ -244,30 +242,24 @@ def verify_free_factor_chain(chain: SurfaceChain) -> VerificationReport:
     alphabet list those three letters, in any order, right after the
     stage-k letters: each stage is then a prefix of the alphabet.  For
     0 <= k < n the complement N_k * <t_k> extended by {a_{k+1}, b_{k+1},
-    c_{k+1}} is certified a basis of the stage-(k+1) group.  N_k is the
-    letters 1 ... 3k + 2 (``complement_basis``; checked once, as N_{n-1}, of
-    which every N_k is a prefix), so the candidate is every stage-(k+1)
-    letter but c0, plus c_{k+1}.  A c_{k+1} with a letter outside the
-    stage does not lie in the stage group, so the candidate is no basis of
-    it, a false claim reported as a witness; inside the stage, it is one
-    exactly when c_{k+1} has one c0 letter (``_c0_once``).  Only a c-word
-    over another alphabet object than the chain's is re-expressed, by name.
+    c_{k+1}} is certified a basis of the stage-(k+1) group.  N_k, the
+    explicit complement of <d_k>, is N_0 = <a0, b0> and N_k = N_{k-1} *
+    <t_{k-1}> * <a_k, b_k>, the letters 1 ... 3k + 2, so the candidate is
+    every stage-(k+1) letter but c0, plus c_{k+1}.  A c_{k+1} with a letter
+    outside the stage does not lie in the stage group, so the candidate is
+    no basis of it, a false claim reported as a witness; inside the stage,
+    it is one exactly when c_{k+1} has one c0 letter (``_c0_once``).
     """
     _require("freefactor", chain.n)
     started = time.perf_counter()
     witnesses = []
     alphabet = chain.alphabet
     layout = chain_alphabet(chain.n).names
-    last = 3 * chain.n
-    if complement_basis(chain, chain.n - 1) != chain.generators[1:last]:
-        witnesses.append(f"complement N_{chain.n - 1} is not the letters 1 ... {last - 1}")
     for k in range(chain.n):
         stage = 3 * (k + 2)
         if set(alphabet.names[stage - 3: stage]) != set(layout[stage - 3: stage]):
             witnesses.append(f"k={k}: stage-k letters are not followed by (t, a, b)")
         c_next = chain.c[k + 1]
-        if c_next.alphabet is not alphabet:
-            c_next = restrict_word(c_next, alphabet)
         if max(c_next.letters, default=0) >= 2 * stage:
             witnesses.append(f"k={k}: c_{k + 1} has a letter outside stage {k + 1}")
         elif not _c0_once(c_next):
@@ -285,82 +277,17 @@ class SurfaceRewrite:
     identity_residue: Word
 
 
-def _primed(chain: SurfaceChain) -> tuple[list[tuple[Word, Word]], Word, Word]:
-    """The handles (a'_i, b'_i) for 1 <= i <= n, d'_n, and the identity
-    residue of ``surface_rewrite``, which reads it off these alone.
-
-    The residue is one free reduction of the relator's pieces laid end to
-    end (``words._join_all``), linear in their letters.
-    """
-    n = chain.n
-    handles = [(conjugate(chain.a(i), chain.s[i - 1]), conjugate(chain.b(i), chain.s[i - 1]))
-               for i in range(1, n + 1)]
-    d_np = conjugate(chain.d[n], chain.s[n - 1])
-
-    # handles[i - 1] is stage i's: the even stages ascend, the odd ones descend
-    pieces = [invert(chain.c[0]), commutator(chain.b(0), chain.a(0))]
-    pieces += [commutator(b_p, a_p) for a_p, b_p in handles[1::2]]
-    pieces.append(invert(d_np))
-    pieces += [commutator(a_p, b_p) for a_p, b_p in handles[-2::-2]]
-    residue = _reduced(chain.alphabet, _join_all(w.letters for w in pieces))
-    return handles, d_np, residue
+def _stable_prefix(j: int) -> tuple[int, ...]:
+    """The letters of t_0 ... t_{j-1}, that is s_{j-1}^-1 (by
+    ``chain_alphabet``, t_i has the code 6i + 6)."""
+    return tuple(range(6, 6 * j + 1, 6))
 
 
-def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
-    """Rewrite the depth-n chain (n even) as one surface relator.
-
-    Conjugating the stage-i handles by s_{i-1}, with s_i the inverse of
-    t_0 ... t_i, turns the nested gluing into the single relator
-
-        c0 = [b0,a0] [b'_2,a'_2] ... [b'_n,a'_n] (d'_n)^-1
-             [a'_{n-1},b'_{n-1}] ... [a'_1,b'_1]
-
-    and identity_residue is the free reduction of c0^-1 times the right-hand
-    side, empty when the relator closes.  The new basis conjugates the
-    odd-index handles once more by d'_n, a''_j = d'^-1 a'_j d', which
-    pushes the boundary word to the far end: as
-    [a''_j,b''_j] = d'^-1 [a'_j,b'_j] d', the same residue reads
-    c0^-1 [b0,a0] ... [b'_n,a'_n] [a''_{n-1},b''_{n-1}] ... [a''_1,b''_1] d'^-1
-    off the new basis.
-    """
-    _require("surface", chain.n)
-    handles, d_np, residue = _primed(chain)
-    new_basis = [chain.a(0), chain.b(0)]
-    for j, pair in enumerate(handles, 1):
-        new_basis.append(chain.t(j - 1))
-        new_basis += [conjugate(w, d_np) for w in pair] if j % 2 else pair
-    new_basis.append(d_np)
-    return SurfaceRewrite(new_basis, residue)
-
-
-def _flip_stable_letters(codes: Sequence[int]) -> tuple[int, ...]:
-    """sigma: t_i -> t_i^-1 for every i, fixing every other letter, on
-    letter codes (the t letters sit at positions 3, 6, 9, ...)."""
-    return tuple([c ^ 1 if c > 1 and (c >> 1) % 3 == 0 else c for c in codes])
-
-
-def _last_boundary(n: int) -> tuple[int, ...]:
-    """The letters of ``build_chain(n).d[n]``, in O(n).
-
-    c_0 = c0 and c_{i+1} = t_i^-1 c_i^-1 [b_i, a_i] t_i, so d_n =
-    c_n^-1 [b_n, a_n] is built in n + 1 steps, each of which inverts the
-    word so far and puts O(1) letters at its ends.  The word is kept in a
-    deque with a flag for whether the deque holds it or its inverse, so no
-    step copies it.  No junction cancels: c_i^-1 begins with t_{i-1}^-1 or
-    c0^-1 and ends with t_{i-1} or c0^-1, next to t_i^-1 and b_i, letters
-    on other generators, and [b_i, a_i] t_i is reduced.
-    """
-    word, inverted = deque([0]), False
-    for i in range(n + 1):
-        a, b, t = 6 * i + 2, 6 * i + 4, 6 * i + 6  # a_i, b_i, t_i
-        inverted = not inverted
-        head, tail = ((t ^ 1,), (b, a, b ^ 1, a ^ 1, t)) if i < n else ((), (b, a, b ^ 1, a ^ 1))
-        if inverted:  # put head before and tail after the inverse of the deque
-            head, tail = _inverse(tail), _inverse(head)
-        word.extendleft(reversed(head))
-        word.extend(tail)
-    letters = tuple(word)
-    return _inverse(letters) if inverted else letters
+def _d_prime(n: int, d_n: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of d'_n = s_{n-1}^-1 d_n s_{n-1}, with ``d_n`` for the
+    chain's d_n, reduced from three pieces."""
+    p = _stable_prefix(n)
+    return _join_all((p, d_n, _inverse(p)))
 
 
 def _relator_residue(n: int, c0: tuple[int, ...], d_n: tuple[int, ...]) -> tuple[int, ...]:
@@ -380,6 +307,67 @@ def _relator_residue(n: int, c0: tuple[int, ...], d_n: tuple[int, ...]) -> tuple
         a, b = 6 * j + 2, 6 * j + 4
         pieces.append((6 * j + 7, a, b, a ^ 1, b ^ 1, 6 * j + 1))
     return _join_all(pieces)
+
+
+def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
+    """Rewrite the depth-n chain (n even) as one surface relator.
+
+    Conjugating the stage-i handles by s_{i-1}, with s_i the inverse of
+    t_0 ... t_i, turns the nested gluing into the single relator
+
+        c0 = [b0,a0] [b'_2,a'_2] ... [b'_n,a'_n] (d'_n)^-1
+             [a'_{n-1},b'_{n-1}] ... [a'_1,b'_1]
+
+    and identity_residue is the free reduction of c0^-1 times the right-hand
+    side, empty when the relator closes (``_relator_residue``).  The handle
+    a'_j = p a_j p^-1, with p = t_0 ... t_{j-1} (``_stable_prefix``), is
+    reduced as it stands, and so is b'_j.  The new basis conjugates the
+    odd-index handles once more by d'_n, a''_j = d'^-1 a'_j d', which
+    pushes the boundary word to the far end: as
+    [a''_j,b''_j] = d'^-1 [a'_j,b'_j] d', the same residue reads
+    c0^-1 [b0,a0] ... [b'_n,a'_n] [a''_{n-1},b''_{n-1}] ... [a''_1,b''_1] d'^-1
+    off the new basis.
+    """
+    _require("surface", chain.n)
+    n, alphabet = chain.n, chain.alphabet
+    d_n = chain.d[n].letters
+    d_np = _reduced(alphabet, _d_prime(n, d_n))
+    new_basis = [chain.a(0), chain.b(0)]
+    for j in range(1, n + 1):
+        p = _stable_prefix(j)
+        handle = [_reduced(alphabet, p + x.letters + _inverse(p)) for x in (chain.a(j), chain.b(j))]
+        new_basis.append(chain.t(j - 1))
+        new_basis += [conjugate(w, d_np) for w in handle] if j % 2 else handle
+    new_basis.append(d_np)
+    residue = _relator_residue(n, chain.c[0].letters, d_n)
+    return SurfaceRewrite(new_basis, _reduced(alphabet, residue))
+
+
+def _last_boundary(n: int, inverted_stable_letters: bool) -> tuple[int, ...]:
+    """The letters of ``build_chain(n, inverted_stable_letters).d[n]``, in O(n).
+
+    Let t_i^e be the letter the convention glues by: e = 1, the code
+    6i + 6, by default, and e = -1, the code 6i + 7, when it inverts the
+    stable letters.  c_0 = c0 and c_{i+1} = t_i^-e c_i^-1 [b_i, a_i] t_i^e,
+    so d_n = c_n^-1 [b_n, a_n] is built in n + 1 steps, each of which
+    inverts the word so far and puts O(1) letters at its ends.  The word is
+    kept in a deque with a flag for whether the deque holds it or its
+    inverse, so no step copies it.  No junction cancels: c_i^-1 begins with
+    t_{i-1}^(+-1) or c0^-1 and ends with t_{i-1}^(+-1) or c0^-1, next to
+    t_i^-e and b_i, letters on other generators, and [b_i, a_i] t_i^e is
+    reduced.
+    """
+    word, backwards = deque([0]), False
+    for i in range(n + 1):
+        a, b, t = 6 * i + 2, 6 * i + 4, 6 * i + 6 + inverted_stable_letters  # a_i, b_i, t_i^e
+        backwards = not backwards
+        head, tail = ((t ^ 1,), (b, a, b ^ 1, a ^ 1, t)) if i < n else ((), (b, a, b ^ 1, a ^ 1))
+        if backwards:  # put head before and tail after the inverse of the deque
+            head, tail = _inverse(tail), _inverse(head)
+        word.extendleft(reversed(head))
+        word.extend(tail)
+    letters = tuple(word)
+    return _inverse(letters) if backwards else letters
 
 
 def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
@@ -405,21 +393,13 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
     t_j^-1 [a_j,b_j] t_{j-1}^-1 for odd j descending
     (``_relator_residue``), and a free reduction of either product gives
     the same reduced word.  d'_n is reduced from three pieces in the same
-    way.
+    way (``_d_prime``).
 
-    The other convention's residue.  sigma: t_i -> t_i^-1, fixing every
-    other letter (``_flip_stable_letters``), maps ``build_chain(n)`` onto
-    ``build_chain(n, True)`` word for word: sigma fixes c_0 and [a_i,b_i],
-    so sigma(d_i) = sigma(c_i)^-1 [a_i,b_i]^-1, and sigma(t_i^-1 d_i t_i) =
-    t_i sigma(d_i) t_i^-1, the other recursion.  sigma permutes the letter
-    codes, commutes with inversion and takes no letter to the inverse of
-    another, so it keeps words reduced and maps reduced forms letter for
-    letter.  The residue reads s from t letters alone, so the same t pieces
-    serve both conventions, and the other one's residue is
-    ``_relator_residue`` with c0 and the other convention's d_n, which is
-    ``_last_boundary(n)``, with sigma applied when that convention inverts
-    the stable letters.  It is built from scratch, never from the chain
-    handed in.
+    The other convention's residue.  The residue reads s from t letters
+    alone, so the same t pieces serve both conventions, and the other one's
+    residue is ``_relator_residue`` with c0 and that convention's d_n,
+    which ``_last_boundary`` unrolls.  It is built from scratch, never from
+    the chain handed in.
 
     Neither convention's new basis is built: the basis of
     ``surface_rewrite`` has 3n + 3 words (a0, b0, then t_{j-1} and a handle
@@ -446,13 +426,9 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
     residue = _relator_residue(n, chain.c[0].letters, d_n)
     if residue:
         witnesses.append(f"primed residue: {_reduced(chain.alphabet, residue)}")
-    conjugator = tuple(range(6, 6 * n + 1, 6))  # s_{n-1}^-1 = t_0 ... t_{n-1}
-    if not _c0_once(_reduced(chain.alphabet, _join_all((conjugator, d_n, _inverse(conjugator))))):
+    if not _c0_once(_reduced(chain.alphabet, _d_prime(n, d_n))):
         witnesses.append("rewritten generating set is not a basis")
-    other_d_n = _last_boundary(n)
-    if not chain.inverted_stable_letters:
-        other_d_n = _flip_stable_letters(other_d_n)
-    other = _relator_residue(n, (0,), other_d_n)
+    other = _relator_residue(n, (0,), _last_boundary(n, not chain.inverted_stable_letters))
     if bool(residue) == bool(other):
         witnesses.append(
             "conventions are not separated: flipped-residue "
@@ -534,9 +510,8 @@ def explicit_flag_decomposition(chain: SurfaceChain, i: int) -> VerificationRepo
         inverse v c0^-1 u goes to v v^-1 c0 u^-1 u = c0.  phi^-1(w) is w
         with that word put in for each c0 letter, reduced (``words._join_all``).
 
-    Elsewhere, or when a c-word lies over another alphabet than the chain's
-    (``h_reach`` is None), both parts fold K u H and H u L and read the
-    words through the graphs.  The witnesses are the same either way: the
+    Elsewhere both parts fold K u H and H u L and read the words through
+    the graphs.  The witnesses are the same either way: the
     entries that are not members, in the same order.  Over all i the
     position rule costs O(n^2) letters, where the folds read O(n^3).
     """
@@ -548,7 +523,7 @@ def explicit_flag_decomposition(chain: SurfaceChain, i: int) -> VerificationRepo
         witnesses.append("K u H u L is not a basis of the ambient group")
     below = range(0, 2 * (i - 1) + 1, 2)
     reach, top = chain.h_reach, 6 * i + 2
-    if a_holds and reach is not None and reach[2 * i] <= top:
+    if a_holds and reach[2 * i] <= top:
         image = _c0_image_inverse(chain.c[2 * i])
         in_kh = lambda w: _largest_position(w) <= top
         in_hl = lambda w: all(code < 2 or code >> 1 > 6 * i
@@ -882,11 +857,14 @@ def run_checks(
 
     Under ``all`` a check that does not apply at this depth becomes the note
     ``"<lemma> skipped: <reason>"``, and flag runs at every valid index.  A
-    single lemma that does not apply raises ValueError(reason); flag alone
-    needs its index i, and no other lemma takes one.  max_len and
-    element_cap bound the separation scan.
+    single lemma that does not apply raises ValueError(reason), and so does
+    a name that is neither a registered lemma nor ``all``; flag alone needs
+    its index i, and no other lemma takes one.  max_len and element_cap
+    bound the separation scan.
     """
     if lemma != "all":
+        if lemma not in CHECKS:
+            raise ValueError(f"unknown lemma {lemma!r}: expected all or one of {', '.join(CHECKS)}")
         _require(lemma, chain.n)
     if lemma == "flag" and i is None:
         raise ValueError("the flag check needs an index --i")

@@ -15,6 +15,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -447,6 +448,8 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         k = 1 if exp is None else int(exp)
         if k == 0:
             raise WordSyntaxError(f"zero exponent in {tok!r}", pos)
+        if abs(k) > sys.maxsize:
+            raise WordSyntaxError(f"exponent too large in {tok!r}", pos)
         try:
             g = alphabet.index(name)
         except AlphabetMismatch:
@@ -471,12 +474,3 @@ def format_word(w: Word) -> str:
         parts.append(name if k == 1 else f"{name}^{k}")
         i = j
     return " ".join(parts)
-
-
-def restrict_word(w: Word, sub: Alphabet) -> Word:
-    """Re-express w over a sub-alphabet (by generator name)."""
-    codes = []
-    for c in w.letters:
-        name = w.alphabet.names[c >> 1]
-        codes.append(2 * sub.index(name) + (c & 1))
-    return Word(sub, codes)

@@ -1,5 +1,5 @@
-"""Shared test utilities: seeded random words, small enumerations, the
-reference fold and basis test, the reference least rotation, the
+"""Shared test utilities: seeded random words, small enumerations, words
+re-expressed by name, the chain's named complements, the reference fold and basis test, the reference least rotation, the
 step-by-step surface residue, the fold-based flag check, the reference ball
 scan, the full set of Whitehead moves, the reference Whitehead descent and
 level-set sweep, the round-based coset automaton and the maximal-minor
@@ -51,6 +51,22 @@ def random_word(rng: random.Random, alphabet: Alphabet, max_len: int,
         w = Word(alphabet, (rng.randrange(2 * alphabet.rank) for _ in range(n)))
         if w or not nonempty:
             return w
+
+
+def restrict_word(w: Word, sub: Alphabet) -> Word:
+    """Re-express w over another alphabet (a sub-alphabet, or the same names
+    in another order), by generator name."""
+    codes = []
+    for c in w.letters:
+        name = w.alphabet.names[c >> 1]
+        codes.append(2 * sub.index(name) + (c & 1))
+    return Word(sub, codes)
+
+
+def complement_basis(chain: SurfaceChain, j: int) -> list[Word]:
+    """Basis of the explicit complement N_j of <d_j>:
+    N_0 = <a0, b0>, N_j = N_{j-1} * <t_{j-1}> * <a_j, b_j>: positions 1 ... 3j + 2."""
+    return chain.generators[1: 3 * j + 3]
 
 
 def all_reduced_words(alphabet: Alphabet, length: int) -> list[Word]:
@@ -240,12 +256,14 @@ def naive_is_basis(gens: Sequence[Word], alphabet: Alphabet) -> bool:
 
 
 def naive_primed_residue(chain: SurfaceChain) -> Word:
-    """The surface relator's identity residue, one ``multiply`` per piece.
+    """The surface relator's identity residue, one ``multiply`` per piece,
+    with the handles conjugated by the O(n^2)-letter ``chain.s``.
 
-    Test oracle for ``freefold.chain._primed``, which reduces all the pieces
-    in one pass, and for ``freefold.chain._relator_residue``, which cancels
-    the conjugators of neighbouring pieces first; both must return the same
-    residue.
+    Test oracle for ``freefold.chain._relator_residue``, which cancels the
+    conjugators of neighbouring pieces first, and so for
+    ``surface_rewrite(chain).identity_residue`` and for the residues of
+    ``verify_surface_rewrite``, the other convention's read off
+    ``_last_boundary``; each must be this residue.
     """
     n = chain.n
     handles = [(conjugate(chain.a(i), chain.s[i - 1]), conjugate(chain.b(i), chain.s[i - 1]))
@@ -258,6 +276,23 @@ def naive_primed_residue(chain: SurfaceChain) -> Word:
     for a_p, b_p in handles[-2::-2]:
         rhs = multiply(rhs, commutator(a_p, b_p))
     return multiply(invert(chain.c[0]), rhs)
+
+
+def naive_rewrite_basis(chain: SurfaceChain) -> list[Word]:
+    """The new basis of ``surface_rewrite``, each handle conjugated by
+    ``chain.s`` with ``conjugate``.
+
+    Test oracle for ``freefold.chain.surface_rewrite``, which writes the
+    handles out from the letters of t_0 ... t_{j-1}.
+    """
+    n = chain.n
+    d_np = conjugate(chain.d[n], chain.s[n - 1])
+    basis = [chain.a(0), chain.b(0)]
+    for j in range(1, n + 1):
+        handle = [conjugate(x, chain.s[j - 1]) for x in (chain.a(j), chain.b(j))]
+        basis.append(chain.t(j - 1))
+        basis += [conjugate(w, d_np) for w in handle] if j % 2 else handle
+    return basis + [d_np]
 
 
 def naive_flag_decomposition(chain: SurfaceChain, i: int) -> VerificationReport:

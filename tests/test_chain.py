@@ -12,7 +12,6 @@ from freefold.chain import (
     _c0_once,
     build_chain,
     chain_alphabet,
-    complement_basis,
     cross_conjugacy_scan,
     dehn_twist_family,
     documented_orbit_instances,
@@ -42,10 +41,13 @@ from freefold.words import (
     multiply,
 )
 from helpers import (
+    complement_basis,
     naive_cross_conjugacy_scan,
     naive_flag_decomposition,
     naive_is_basis,
     naive_primed_residue,
+    naive_rewrite_basis,
+    restrict_word,
 )
 
 
@@ -145,23 +147,33 @@ def test_free_factor_chain_rank_at_n2():
     assert fold_subgroup(ch.alphabet.generators(), ch.alphabet).rank() == 9
 
 
+def test_chain_rejects_a_word_over_another_alphabet():
+    # so no check meets one: the flag check's position rule always has every
+    # piece's largest position, and no check re-expresses a word by name
+    ch = build_chain(6)
+    renamed = Alphabet([name + "x" for name in ch.alphabet.names])
+    for foreign in (renamed, chain_alphabet(5)):
+        for field in ("c", "d"):
+            for k in (0, 6):
+                words = list(getattr(ch, field))
+                words[k] = Word(foreign, words[k].letters)
+                with pytest.raises(AlphabetMismatch):
+                    dataclasses.replace(ch, **{field: tuple(words)})
+                fields = {"c": ch.c, "d": ch.d, field: tuple(words)}
+                with pytest.raises(AlphabetMismatch):
+                    chain_mod.SurfaceChain(ch.n, ch.alphabet, fields["c"], fields["d"])
+    assert ch.h_reach == tuple(max(max(w.letters, default=0) >> 1 for w in t)
+                               for t in ch.h_tuples)
+    # an equal alphabet is the chain's alphabet, whatever the object
+    same = dataclasses.replace(ch, alphabet=chain_alphabet(6))
+    for check in (verify_free_factor_chain, verify_surface_rewrite):
+        assert check(same).passed
+    assert explicit_flag_decomposition(same, 2).passed
+
+
 def test_free_factor_chain_rejects_n0():
     with pytest.raises(ValueError):
         verify_free_factor_chain(build_chain(0))
-
-
-def test_free_factor_chain_corrupt_complement(monkeypatch):
-    ch = build_chain(2)
-    real = complement_basis
-
-    def corrupt(chain, j):
-        words = real(chain, j)
-        return [w for w in words if str(w) != "t0"]
-
-    monkeypatch.setattr(chain_mod, "complement_basis", corrupt)
-    report = verify_free_factor_chain(ch)
-    assert report.status == "fail"
-    assert any("complement" in w for w in report.witnesses)
 
 
 def test_free_factor_chain_checks_alphabet_order():
@@ -170,11 +182,14 @@ def test_free_factor_chain_checks_alphabet_order():
     def swapped(i, j):
         names = list(ch.alphabet.names)
         names[i], names[j] = names[j], names[i]
-        return verify_free_factor_chain(dataclasses.replace(ch, alphabet=Alphabet(names)))
+        al = Alphabet(names)
+        moved = lambda words: tuple(restrict_word(w, al) for w in words)
+        return verify_free_factor_chain(
+            dataclasses.replace(ch, alphabet=al, c=moved(ch.c), d=moved(ch.d)))
 
     # t0 and a1 swapped: each stage is still a prefix
     assert swapped(3, 4).status == "pass"
-    # c0 and t0 swapped: stage 0 is no longer a prefix
+    # b0 and t0 swapped: stage 0 is no longer a prefix
     assert swapped(2, 3).witnesses == ["k=0: stage-k letters are not followed by (t, a, b)"]
 
 
@@ -304,7 +319,9 @@ def test_primed_residue_matches_step_by_step_oracle():
     chains = [build_chain(n, flip) for n in range(2, 65, 2) for flip in (False, True)]
     chains += _perturbed_surface_chains(random.Random(139), 40)
     for ch in chains:
-        assert chain_mod._primed(ch)[2] == naive_primed_residue(ch)
+        rw = surface_rewrite(ch)
+        assert rw.identity_residue == naive_primed_residue(ch)
+        assert rw.new_basis == naive_rewrite_basis(ch)
 
 
 def _telescoped(ch):
@@ -313,35 +330,26 @@ def _telescoped(ch):
 
 def test_telescoped_residues_match_primed_and_step_by_step():
     # the surface check's two residues: the chain's own from its c_0 and d_n,
-    # and a convention's from c0 and the unrolled d_n, with the stable
-    # letters flipped when that convention inverts them
+    # and a convention's from c0 and that convention's unrolled d_n
     for n in [*range(2, 41, 2), 256]:
         for flip in (False, True):
             ch = build_chain(n, flip)
             want = naive_primed_residue(ch).letters
-            assert chain_mod._primed(ch)[2].letters == want
+            assert surface_rewrite(ch).identity_residue.letters == want
             assert _telescoped(ch) == want
-            d_n = chain_mod._last_boundary(n)
-            if flip:
-                d_n = chain_mod._flip_stable_letters(d_n)
+            d_n = chain_mod._last_boundary(n, flip)
             assert chain_mod._relator_residue(n, (0,), d_n) == want
     for seed, count in ((131, 500), (137, 100), (139, 40), (149, 40), (151, 40)):
         for ch in _perturbed_surface_chains(random.Random(seed), count):
             want = naive_primed_residue(ch).letters
-            assert chain_mod._primed(ch)[2].letters == want
+            assert surface_rewrite(ch).identity_residue.letters == want
             assert _telescoped(ch) == want
-
-
-def test_flipping_stable_letters_maps_one_convention_onto_the_other():
-    for n in range(41):
-        ch, flipped = build_chain(n), build_chain(n, inverted_stable_letters=True)
-        for w, v in zip(ch.c + ch.d, flipped.c + flipped.d, strict=True):
-            assert chain_mod._flip_stable_letters(w.letters) == v.letters
 
 
 def test_last_boundary_unrolls_d_n():
     for n in range(65):
-        assert chain_mod._last_boundary(n) == build_chain(n).d[n].letters
+        for flip in (False, True):
+            assert chain_mod._last_boundary(n, flip) == build_chain(n, flip).d[n].letters
 
 
 class _NoStableProducts(chain_mod.SurfaceChain):
@@ -521,18 +529,6 @@ def test_flag_check_folds_nothing_on_honest_chains(monkeypatch):
             ch = build_chain(n, flip)
             for i in flag_indices(n):
                 assert explicit_flag_decomposition(ch, i).passed
-
-
-def test_flag_check_reads_foreign_words_as_the_fold_does():
-    ch = build_chain(6)
-    c = list(ch.c)
-    renamed = Alphabet([name + "x" for name in ch.alphabet.names])
-    c[0] = Word(renamed, c[0].letters)
-    foreign = dataclasses.replace(ch, c=tuple(c))
-    assert foreign.h_reach is None
-    for check in (explicit_flag_decomposition, naive_flag_decomposition):
-        with pytest.raises(AlphabetMismatch):
-            check(foreign, 2)
 
 
 def test_flag_negative_control():
@@ -798,6 +794,13 @@ def test_single_inapplicable_lemma_raises_its_reason():
     with pytest.raises(ValueError, match="index"):
         run_checks(build_chain(4), "flag")
     assert len(run_checks(build_chain(6), "flag", i=2)[0]) == 1
+
+
+def test_unknown_lemma_raises_value_error_naming_the_lemmas():
+    with pytest.raises(ValueError, match="unknown lemma 'bogus'") as info:
+        run_checks(build_chain(2), "bogus")
+    for name in ("all", *CHECKS):
+        assert name in str(info.value)
 
 
 # -- reports ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import io
 import json
+import re
 import shlex
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -66,6 +68,15 @@ def test_root_of_identity_is_usage_error(capsys):
 def test_primitive_true_false(capsys):
     assert run(capsys, "primitive", "--alphabet", "a,b", "a a b")[0] == 0
     assert run(capsys, "primitive", "--alphabet", "a,b", "a b a^-1 b^-1")[0] == 1
+
+
+def test_exponent_past_an_index_is_usage_error(capsys):
+    huge = "a^99999999999999999999"
+    for argv in (("primitive", "--alphabet", "a,b", huge),
+                 ("member", "--alphabet", "a,b", "--gen", "b", huge),
+                 ("member", "--alphabet", "a,b", "--gen", huge, "b")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "exponent too large" in err
 
 
 def test_primitive_exhausted_budget_is_undecided(capsys):
@@ -350,41 +361,34 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert real() is not real()
 
 
-# The lines of the CI step that runs the installed ``freefold`` script, with
-# the exit code each must give; the comments there say why each holds.
-CONSOLE_SCRIPT_LINES = [
-    ('verify --n 16 --lemma all --format json', 0),
-    ('verify --n 128 --lemma all --format json', 0),
-    ('verify --n 16 --lemma all --format json --flip-convention', 1),
-    ('verify --n 1024 --lemma surface --format json', 0),
-    ('verify --n 1024 --lemma surface --format json --flip-convention', 1),
-    ('eq e3 --alphabet a,b a b "a^2 b^3" a b 1', 0),
-    ('eq e3 --alphabet a,b a b "a b a" a b 1', 1),
-    ('eq e1 --alphabet a,b --m 2 a b a "b a^4"', 0),
-    ('eq e1 --alphabet a,b --m 2 a b a "b a^3"', 1),
-    ('eq e2 --alphabet a,b --m 2 a b a "a^4 b"', 0),
-    ('eq e2 --alphabet a,b --m 2 a b a "a^3 b"', 1),
-    ('eq e3 --alphabet a,b --m 3 a b a a b a', 2),
-    ('eq e3 --alphabet r,s r "s^-1 r^-1 s" "r^20 s" r "s^-1 r^-1 s" s', 0),
-    ('eq e3 --alphabet r,s r "s^-1 r^-1 s" "r^20 s^2" r "s^-1 r^-1 s" s', 1),
-    ('primitive --alphabet a,b,c --budget 1 b', 0),
-    ('primitive --alphabet a,b --budget 1 "a b a b^-1"', 3),
-    ('primitive --alphabet x0,x1,x2,x3,x4 "x4 x3 x4 x1 x0 x4^-1 x1^-1"', 0),
-    ('primitive --alphabet x0,x1,x2,x3,x4 "x3 x0 x3^-1 x4^-1 x3 x0 x3^-1 x4^-1"', 1),
-    ('member --alphabet a,b --gen "a^2" --gen b "b a^2 b^-1"', 0),
-    ('member --alphabet a,b --gen "a^2" --gen b "a b a"', 1),
-    ('member --alphabet a,b --gen 1 a', 1),
-    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 3396 "x2 x1 x2 x0 x1^-1 x2"', 0),
-    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 3395 "x2 x1 x2 x0 x1^-1 x2"', 3),
-    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 4320 "x2 x0 x2^-1 x1 x2 x0 x2^-1 x1^-1"', 1),
-    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 4319 "x2 x0 x2^-1 x1 x2 x0 x2^-1 x1^-1"', 3),
-    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 4380 "x2 x4 x0 x2 x4^-1 x2"', 0),
-    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 4379 "x2 x4 x0 x2 x4^-1 x2"', 3),
-    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 2553 "x0 x2 x0^-1 x4 x0 x2^-1 x0^-1 x4^-1"', 1),
-    ('primitive --alphabet x0,x1,x2,x3,x4 --budget 2552 "x0 x2 x0^-1 x4 x0 x2^-1 x0^-1 x4^-1"', 3),
-    ('primitive --alphabet x0,x1,x2 --budget 373 "x2 x0 x1 x2^3 x1^-1 x2^2 x0 x1 x2"', 0),
-    ('primitive --alphabet x0,x1,x2 --budget 372 "x2 x0 x1 x2^3 x1^-1 x2^2 x0 x1 x2"', 3),
-]
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def _console_script_lines():
+    """The ``freefold`` lines of the CI step that runs the installed script,
+    each with the exit code the step requires of it: the ``N`` of a
+    ``test "$status" -eq N`` on the next line, else 0.  The comments there
+    say why each holds."""
+    lines = [line.strip() for line in WORKFLOW.read_text().splitlines()]
+    cases = []
+    for k, line in enumerate(lines):
+        if line.startswith("freefold "):
+            command = line.removeprefix("freefold ").removesuffix(" || status=$?")
+            command = command.removesuffix(" > /dev/null")
+            status = re.fullmatch(r'test "\$status" -eq (\d+)', lines[k + 1])
+            cases.append((command, int(status.group(1)) if status else 0))
+    return cases
+
+
+CONSOLE_SCRIPT_LINES = _console_script_lines()
+
+
+def test_console_script_lines_are_read_off_the_workflow():
+    assert len(CONSOLE_SCRIPT_LINES) >= 30
+    assert CONSOLE_SCRIPT_LINES[0] == ("verify --n 16 --lemma all --format json", 0)
+    assert ("verify --n 16 --lemma all --format json --flip-convention", 1) in CONSOLE_SCRIPT_LINES
+    assert ("eq e3 --alphabet a,b --m 3 a b a a b a", 2) in CONSOLE_SCRIPT_LINES
+    assert {code for _, code in CONSOLE_SCRIPT_LINES} == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("line, expected", CONSOLE_SCRIPT_LINES)

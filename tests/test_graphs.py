@@ -9,13 +9,12 @@ from freefold.graphs import (
 )
 from freefold.chain import (
     build_chain,
-    complement_basis,
     flag_indices,
     flag_parts,
     surface_rewrite,
 )
-from freefold.words import Alphabet, AlphabetMismatch, Word, invert, multiply, restrict_word
-from helpers import naive_fold, naive_is_basis, random_word
+from freefold.words import Alphabet, AlphabetMismatch, Word, invert, multiply
+from helpers import complement_basis, naive_fold, naive_is_basis, random_word, restrict_word
 
 AB = Alphabet.parse("a0,b0")
 ABC = Alphabet.parse("a0,b0,c0")

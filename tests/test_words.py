@@ -23,10 +23,9 @@ from freefold.words import (
     multiply,
     parse_word,
     reduce,
-    restrict_word,
     root,
 )
-from helpers import naive_least_rotation, naive_root, random_word
+from helpers import naive_least_rotation, naive_root, random_word, restrict_word
 
 AB = Alphabet.parse("a0,b0")
 BIG = Alphabet.parse("c0,a0,b0,t0")
@@ -361,6 +360,12 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 2
     with pytest.raises(WordSyntaxError):
         parse_word("zz", AB)
+
+
+def test_parse_exponent_past_an_index_is_a_syntax_error():
+    for text in ("a0^99999999999999999999", "b0 a0^-99999999999999999999"):
+        with pytest.raises(WordSyntaxError, match="exponent too large"):
+            parse_word(text, AB)
 
 
 def test_alphabet_validation():
