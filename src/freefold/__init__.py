@@ -46,7 +46,6 @@ from .words import (
     AlphabetMismatch,
     CyclicWord,
     DegenerateInput,
-    Letter,
     Word,
     WordSyntaxError,
     centralizer_equal,
@@ -59,7 +58,6 @@ from .words import (
     is_conjugate,
     multiply,
     parse_word,
-    reduce,
     root,
 )
 

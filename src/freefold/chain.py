@@ -36,6 +36,7 @@ from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
+    _check_same_alphabet,
     _cyclic_root,
     _inverse,
     _join_all,
@@ -103,19 +104,30 @@ def _finish(check: str, params: dict, witnesses: list[str], started: float,
 class SurfaceChain:
     """Derived-element table of the glued-surface group of depth n.
 
-    Every c- and d-word lies over the chain's alphabet (AlphabetMismatch
-    otherwise), so the checks read their letter codes directly.
+    A chain holds n + 1 c-words and n + 1 d-words (ValueError otherwise),
+    all over ``chain_alphabet(n)`` (AlphabetMismatch otherwise), so the
+    checks find each letter at its position and read letter codes directly.
     """
 
     n: int
-    alphabet: Alphabet
     c: tuple[Word, ...]
     d: tuple[Word, ...]
     inverted_stable_letters: bool = False
 
     def __post_init__(self):
-        if any(w.alphabet != self.alphabet for w in (*self.c, *self.d)):
-            raise AlphabetMismatch("a chain word lies over another alphabet than the chain's")
+        n = self.n
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if len(self.c) != n + 1 or len(self.d) != n + 1:
+            raise ValueError(f"a depth-{n} chain has {n + 1} c- and d-words, "
+                             f"not {len(self.c)} and {len(self.d)}")
+        if self.alphabet != chain_alphabet(n):
+            raise AlphabetMismatch(f"{self.alphabet!r} is not the depth-{n} chain alphabet")
+        _check_same_alphabet(*self.c, *self.d)
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.c[0].alphabet
 
     @cached_property
     def generators(self) -> list[Word]:
@@ -164,8 +176,6 @@ def chain_alphabet(n: int) -> Alphabet:
 
 
 def build_chain(n: int, inverted_stable_letters: bool = False) -> SurfaceChain:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     alphabet = chain_alphabet(n)
     letters = alphabet.generators()
     c = [letters[0]]
@@ -176,7 +186,7 @@ def build_chain(n: int, inverted_stable_letters: bool = False) -> SurfaceChain:
         if i < n:
             t_i = letters[3 * i + 3]
             c.append(conjugate(d[i], invert(t_i) if inverted_stable_letters else t_i))
-    return SurfaceChain(n, alphabet, tuple(c), tuple(d), inverted_stable_letters)
+    return SurfaceChain(n, tuple(c), tuple(d), inverted_stable_letters)
 
 
 def _require(lemma: str, n: int) -> None:
@@ -238,34 +248,27 @@ def verify_free_factor_chain(chain: SurfaceChain) -> VerificationReport:
     """Each stage is a free factor of the next, with an explicit complement.
 
     The stage-k letters extended by {t_k, a_{k+1}, b_{k+1}} are the stage-(k+1)
-    letters, a basis by construction, so the check only asks that the
-    alphabet list those three letters, in any order, right after the
-    stage-k letters: each stage is then a prefix of the alphabet.  For
+    letters, a basis by construction: the chain's alphabet is
+    ``chain_alphabet(n)``, so each stage is a prefix of it.  For
     0 <= k < n the complement N_k * <t_k> extended by {a_{k+1}, b_{k+1},
     c_{k+1}} is certified a basis of the stage-(k+1) group.  N_k, the
     explicit complement of <d_k>, is N_0 = <a0, b0> and N_k = N_{k-1} *
     <t_{k-1}> * <a_k, b_k>, the letters 1 ... 3k + 2, so the candidate is
     every stage-(k+1) letter but c0, plus c_{k+1}.  A c_{k+1} with a letter
-    outside the stage does not lie in the stage group, so the candidate is
-    no basis of it, a false claim reported as a witness; inside the stage,
-    it is one exactly when c_{k+1} has one c0 letter (``_c0_once``).
+    outside the stage, past position 3k + 5 (``h_reach``, as a_{k+1} and
+    b_{k+1} sit at 3k + 4 and 3k + 5), does not lie in the stage group, so
+    the candidate is no basis of it, a false claim reported as a witness;
+    inside the stage, it is one exactly when c_{k+1} has one c0 letter
+    (``_c0_once``).
     """
     _require("freefactor", chain.n)
     started = time.perf_counter()
     witnesses = []
-    alphabet = chain.alphabet
-    layout = chain_alphabet(chain.n).names
     for k in range(chain.n):
-        stage = 3 * (k + 2)
-        if set(alphabet.names[stage - 3: stage]) != set(layout[stage - 3: stage]):
-            witnesses.append(f"k={k}: stage-k letters are not followed by (t, a, b)")
-        c_next = chain.c[k + 1]
-        if max(c_next.letters, default=0) >= 2 * stage:
+        if chain.h_reach[k + 1] > 3 * k + 5:
             witnesses.append(f"k={k}: c_{k + 1} has a letter outside stage {k + 1}")
-        elif not _c0_once(c_next):
+        elif not _c0_once(chain.c[k + 1]):
             witnesses.append(f"k={k}: complement basis with (a, b, c) fails")
-    if alphabet.rank != len(layout):
-        witnesses.append(f"alphabet has rank {alphabet.rank}, expected {len(layout)}")
     return _finish("free_factor_chain", {"n": chain.n}, witnesses, started)
 
 
@@ -432,7 +435,7 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
     if bool(residue) == bool(other):
         witnesses.append(
             "conventions are not separated: flipped-residue "
-            f"{'empty' if not other else _reduced(chain_alphabet(n), other)}"
+            f"{'empty' if not other else _reduced(chain.alphabet, other)}"
         )
     params = {
         "n": n,

@@ -1,11 +1,12 @@
 """Command-line front end: word utilities, relation queries, certificates.
 
-Exit codes: 0 = pass / true, 1 = fail / false, 2 = usage or input error,
-3 = undecided: a search ran out of its budget before it could answer
-(``primitive --budget``; ``verify`` when a report is budget-exhausted and
-none failed).  ``--budget`` and ``--max-len`` must be at least 1.  ``eq``
-takes ``--m`` for e1/e2 and ``--p``/``--q`` for e3 only (each 1 by default);
-an exponent option the relation does not take is a usage error.
+Exit codes: 0 = pass / true, 1 = fail / false, 2 = usage or input error
+(a word too long for memory included), 3 = undecided: a search ran out of
+its budget before it could answer (``primitive --budget``; ``verify`` when
+a report is budget-exhausted and none failed).  ``--budget`` and
+``--max-len`` must be at least 1.  ``eq`` takes ``--m`` for e1/e2 and
+``--p``/``--q`` for e3 only (each 1 by default); an exponent option the
+relation does not take is a usage error.
 Reports print as text or as JSON objects with the stable schema
 {"check", "params", "status", "witnesses", "elapsed_ms"}; in JSON mode the
 notes of skipped checks go to stderr.
@@ -258,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:  # an input whose letters do not fit, e.g. a^(2^62)
+        print("error: out of memory: the words are too long", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

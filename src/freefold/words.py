@@ -1,7 +1,7 @@
 """Exact arithmetic in finite-rank free groups.
 
-Words are freely reduced sequences of signed generators.  A letter is stored
-as one int: ``2*g`` for the generator with index ``g``, ``2*g + 1`` for its
+Words are freely reduced sequences of signed generators.  A letter is one
+int code: ``2*g`` for the generator with index ``g``, ``2*g + 1`` for its
 inverse.  That encoding makes inversion a bit flip and gives the canonical
 letter order used everywhere (generator index first, positive sign before
 negative).
@@ -17,11 +17,11 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 class AlphabetMismatch(ValueError):
-    """Operands live over different alphabets (or index out of range)."""
+    """Operands live over different alphabets, or a letter code lies outside one."""
 
 
 class DegenerateInput(ValueError):
@@ -97,21 +97,6 @@ class Alphabet:
         return Alphabet([part.strip() for part in text.split(",")])
 
 
-class Letter(NamedTuple):
-    """A signed generator: index into an alphabet plus sign +1 or -1."""
-
-    gen: int
-    sign: int
-
-
-def _code(letter: Letter, alphabet: Alphabet) -> int:
-    if not 0 <= letter.gen < alphabet.rank:
-        raise AlphabetMismatch(f"generator index {letter.gen} out of range")
-    if letter.sign not in (1, -1):
-        raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
-    return 2 * letter.gen + (0 if letter.sign == 1 else 1)
-
-
 def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []
     for c in codes:
@@ -123,16 +108,23 @@ def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
 
 
 class Word:
-    """A freely reduced word.  Construction always reduces its input.
+    """A freely reduced word.  Construction checks that every letter code
+    lies in ``[0, 2 * alphabet.rank)`` (AlphabetMismatch otherwise) and
+    reduces the codes.
 
-    The operations below build their results without that pass (through
-    ``_reduced``, or inline in ``multiply``): on reduced operands,
-    cancellation can only happen where two operands meet.
+    The operations below build their results without those passes (through
+    ``_reduced``, or inline in ``multiply``): their operands' codes are
+    checked already, and on reduced operands cancellation can only happen
+    where two operands meet.
     """
 
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet: Alphabet, codes: Iterable[int] = ()):
+        codes = tuple(codes)
+        if codes and not 0 <= min(codes) <= max(codes) < 2 * alphabet.rank:
+            bad = next(c for c in codes if not 0 <= c < 2 * alphabet.rank)
+            raise AlphabetMismatch(f"letter code {bad} is outside {alphabet!r}")
         self.alphabet = alphabet
         self.letters = _reduce_codes(codes)
 
@@ -153,10 +145,6 @@ class Word:
 
     def __hash__(self) -> int:
         return hash((self.alphabet.names, self.letters))
-
-    def __iter__(self) -> Iterator[Letter]:
-        for c in self.letters:
-            yield Letter(c >> 1, -1 if c & 1 else 1)
 
     def __mul__(self, other: "Word") -> "Word":
         return multiply(self, other)
@@ -188,8 +176,9 @@ class Word:
 def _reduced(alphabet: Alphabet, letters: tuple[int, ...]) -> Word:
     """A Word over ``letters`` without the reduction pass.
 
-    Only for letters the caller has shown to be freely reduced; public
-    construction goes through ``Word``, which reduces.
+    Only for codes the caller has shown to lie over ``alphabet`` and to be
+    freely reduced; public construction goes through ``Word``, which checks
+    and reduces.
     """
     w = object.__new__(Word)
     w.alphabet = alphabet
@@ -242,11 +231,6 @@ def _check_same_alphabet(*words: Word) -> None:
 
 
 # -- group operations -------------------------------------------------------
-
-
-def reduce(raw: Iterable[Letter], alphabet: Alphabet) -> Word:
-    """Freely reduce a raw letter sequence.  Idempotent on reduced input."""
-    return Word(alphabet, (_code(l, alphabet) for l in raw))
 
 
 def multiply(u: Word, v: Word) -> Word:

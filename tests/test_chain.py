@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -156,19 +157,62 @@ def test_chain_rejects_a_word_over_another_alphabet():
         for field in ("c", "d"):
             for k in (0, 6):
                 words = list(getattr(ch, field))
+                if max(words[k].letters) >= 2 * foreign.rank:
+                    # the depth-6 word has letters past the depth-5 alphabet
+                    with pytest.raises(AlphabetMismatch):
+                        Word(foreign, words[k].letters)
+                    continue
                 words[k] = Word(foreign, words[k].letters)
                 with pytest.raises(AlphabetMismatch):
                     dataclasses.replace(ch, **{field: tuple(words)})
                 fields = {"c": ch.c, "d": ch.d, field: tuple(words)}
                 with pytest.raises(AlphabetMismatch):
-                    chain_mod.SurfaceChain(ch.n, ch.alphabet, fields["c"], fields["d"])
+                    chain_mod.SurfaceChain(ch.n, fields["c"], fields["d"])
     assert ch.h_reach == tuple(max(max(w.letters, default=0) >> 1 for w in t)
                                for t in ch.h_tuples)
     # an equal alphabet is the chain's alphabet, whatever the object
-    same = dataclasses.replace(ch, alphabet=chain_alphabet(6))
+    al = chain_alphabet(6)
+    same = dataclasses.replace(ch, c=tuple(Word(al, w.letters) for w in ch.c))
+    assert same.alphabet is al and same.d[0].alphabet is not al
     for check in (verify_free_factor_chain, verify_surface_rewrite):
         assert check(same).passed
     assert explicit_flag_decomposition(same, 2).passed
+
+
+def test_chain_refuses_any_other_shape_or_layout():
+    ch = build_chain(4)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        build_chain(-1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        chain_mod.SurfaceChain(-1, ch.c[:0], ch.d[:0])
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        dataclasses.replace(ch, n=-1)
+    extra = multiply(ch.d[-1], ch.a(0))
+    shapes = {
+        "c": (ch.c[:-1], ch.c + (ch.c[-1],)),
+        "d": (ch.d[:-1], ch.d + (extra,)),
+    }
+    for field, (fewer, more) in shapes.items():
+        for words in (fewer, more):
+            fields = {"c": ch.c, "d": ch.d, field: words}
+            with pytest.raises(ValueError, match="depth-4 chain has 5"):
+                dataclasses.replace(ch, **{field: words})
+            with pytest.raises(ValueError, match="depth-4 chain has 5"):
+                chain_mod.SurfaceChain(4, fields["c"], fields["d"])
+    # the words of a depth-3 chain, or the first four of a depth-4 chain,
+    # are the right number for the other depth but lie over its alphabet
+    shallow = build_chain(3)
+    with pytest.raises(AlphabetMismatch):
+        dataclasses.replace(shallow, c=ch.c[:4], d=ch.d[:4])
+    with pytest.raises(AlphabetMismatch):
+        chain_mod.SurfaceChain(4, shallow.c + (shallow.c[0],), shallow.d + (shallow.d[0],))
+    # an extra letter after the layout's
+    wide = Alphabet(list(ch.alphabet.names) + ["zz"])
+    c, d = (tuple(restrict_word(w, wide) for w in words) for words in (ch.c, ch.d))
+    with pytest.raises(AlphabetMismatch):
+        dataclasses.replace(ch, c=c, d=d)
+    with pytest.raises(AlphabetMismatch):
+        chain_mod.SurfaceChain(4, c, d)
 
 
 def test_free_factor_chain_rejects_n0():
@@ -177,20 +221,19 @@ def test_free_factor_chain_rejects_n0():
 
 
 def test_free_factor_chain_checks_alphabet_order():
+    # the layout is the chain's alphabet, so a permuted alphabet is refused
+    # when the chain is built, before any check reads it
     ch = build_chain(1)
-
-    def swapped(i, j):
+    # t0 and a1 swapped, each stage still a prefix; b0 and t0 swapped
+    for i, j in ((3, 4), (2, 3)):
         names = list(ch.alphabet.names)
         names[i], names[j] = names[j], names[i]
         al = Alphabet(names)
-        moved = lambda words: tuple(restrict_word(w, al) for w in words)
-        return verify_free_factor_chain(
-            dataclasses.replace(ch, alphabet=al, c=moved(ch.c), d=moved(ch.d)))
-
-    # t0 and a1 swapped: each stage is still a prefix
-    assert swapped(3, 4).status == "pass"
-    # b0 and t0 swapped: stage 0 is no longer a prefix
-    assert swapped(2, 3).witnesses == ["k=0: stage-k letters are not followed by (t, a, b)"]
+        c, d = (tuple(restrict_word(w, al) for w in words) for words in (ch.c, ch.d))
+        with pytest.raises(AlphabetMismatch):
+            dataclasses.replace(ch, c=c, d=d)
+        with pytest.raises(AlphabetMismatch):
+            chain_mod.SurfaceChain(ch.n, c, d)
 
 
 def test_free_factor_chain_rejects_a_word_outside_its_stage():
@@ -366,7 +409,7 @@ def test_surface_check_reads_neither_s_nor_another_chain(monkeypatch):
     want = [verify_surface_rewrite(ch) for ch in chains]
     monkeypatch.setattr(chain_mod, "build_chain", no_build)
     for ch, report in zip(chains, want):
-        bare = _NoStableProducts(ch.n, ch.alphabet, ch.c, ch.d, ch.inverted_stable_letters)
+        bare = _NoStableProducts(ch.n, ch.c, ch.d, ch.inverted_stable_letters)
         got = verify_surface_rewrite(bare)
         assert (got.status, got.witnesses, got.params) == (
             report.status, report.witnesses, report.params)
@@ -429,6 +472,24 @@ def test_all_checks_at_depth_64():
         failed = {r.check for r in flipped if r.status != "pass"}
         assert failed == {"relation_chain", "surface_rewrite"}
         assert all(r.status in ("pass", "fail") for r in flipped)
+
+
+# The SHA-256 of every report (elapsed_ms dropped) and note that
+# run_checks(build_chain(n, flip), "all") gives for n = 0 ... 24 in both
+# conventions, recorded while SurfaceChain still stored its alphabet as a
+# field: a refactor of the chain or its checks that changes no report keeps it.
+ALL_REPORTS_DIGEST = "b96229bf2ae5c1f27d6feff3aba84c6738990bbeccf4b54466ecb9c1ecd44440"
+
+
+def test_all_reports_keep_their_digest():
+    h = hashlib.sha256()
+    for n in range(25):
+        for flip in (False, True):
+            reports, notes = run_checks(build_chain(n, flip), "all")
+            rows = [{k: v for k, v in r.to_dict().items() if k != "elapsed_ms"}
+                    for r in reports]
+            h.update(json.dumps([n, flip, rows, notes], sort_keys=True).encode())
+    assert h.hexdigest() == ALL_REPORTS_DIGEST
 
 
 def test_surface_rewrite_preconditions():

@@ -79,6 +79,16 @@ def test_exponent_past_an_index_is_usage_error(capsys):
         assert (code, out) == (2, "") and "exponent too large" in err
 
 
+def test_word_too_long_for_memory_is_usage_error(capsys):
+    # 2^62 letters: the list or tuple repeat fails at once, allocating nothing
+    huge = 2**62
+    for argv in (("reduce", "--alphabet", "a", f"a^{huge}"),
+                 ("primitive", "--alphabet", "a,b", f"a^{huge}"),
+                 ("eq", "e3", "--alphabet", "a,b", "--p", str(huge), "a", "b", "a", "a", "b", "a")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: out of memory")
+
+
 def test_primitive_exhausted_budget_is_undecided(capsys):
     code, out, err = run(
         capsys, "primitive", "--budget", "1", "--alphabet", "a,b", "a b a b^-1"

@@ -7,7 +7,6 @@ from freefold.words import (
     Alphabet,
     AlphabetMismatch,
     DegenerateInput,
-    Letter,
     Word,
     WordSyntaxError,
     _join_all,
@@ -22,7 +21,6 @@ from freefold.words import (
     is_conjugate,
     multiply,
     parse_word,
-    reduce,
     root,
 )
 from helpers import naive_least_rotation, naive_root, random_word, restrict_word
@@ -40,23 +38,17 @@ def codes_words(alphabet, max_size=12):
 # -- reduce -----------------------------------------------------------------
 
 
-def test_reduce_adjacent_cancellation():
-    raw = [Letter(0, 1), Letter(0, -1), Letter(1, 1)]
-    assert reduce(raw, AB) == AB.word("b0")
-
-
-def test_reduce_already_reduced():
-    raw = [Letter(0, 1), Letter(1, 1)]
-    assert reduce(raw, AB) == AB.word("a0 b0")
-
-
 def test_reduce_nested_cancellation():
     assert BIG.word("t0 c0 c0^-1 t0^-1 a0") == BIG.word("a0")
 
 
 def test_reduce_out_of_range_index():
-    with pytest.raises(AlphabetMismatch):
-        reduce([Letter(7, 1)], AB)
+    # a letter is an int code in [0, 2 * rank): Word refuses any other,
+    # also one that a neighbouring code would cancel
+    for codes in ([4], [-1], [7], [0, 4, 5], [-2, -1]):
+        with pytest.raises(AlphabetMismatch):
+            Word(AB, codes)
+    assert Word(AB, [0, 3, 2]) == AB.word("a0")
 
 
 @given(codes_words(Alphabet.parse("x,y,z")))
