@@ -36,7 +36,7 @@ from .words import (
     AlphabetMismatch,
     DegenerateInput,
     Word,
-    _check_same_alphabet,
+    _check_alphabet,
     _cyclic_root,
     _inverse,
     _join_all,
@@ -123,7 +123,7 @@ class SurfaceChain:
                              f"not {len(self.c)} and {len(self.d)}")
         if self.alphabet != chain_alphabet(n):
             raise AlphabetMismatch(f"{self.alphabet!r} is not the depth-{n} chain alphabet")
-        _check_same_alphabet(*self.c, *self.d)
+        _check_alphabet(self.alphabet, *self.c, *self.d)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -586,8 +586,7 @@ def dehn_twist_family(
         or k_set & t_set
     ):
         raise ValueError("h_part, k_part and hnn_letters must partition the alphabet")
-    if c.alphabet != alphabet:
-        raise AlphabetMismatch("twisting word over the wrong alphabet")
+    _check_alphabet(alphabet, c)
     h_indices = {alphabet.index(x) for x in h_set}
     if any((code >> 1) not in h_indices for code in c.letters):
         raise ValueError("the twisting word must lie in the fixed part")
@@ -665,6 +664,8 @@ def _side_classes(part: Sequence[Word], max_len: int, cap: int):
     # longest Lyndon prefix of seq, or 0 if seq is no prefix of a necklace
     frontier = [(identity, (), 1)]
     for m in range(max_len):
+        if not frontier:
+            break  # no element is new at level m, so none lies past it
         last = m + 1 == max_len
         nxt = []
         for w, seq, p in frontier:
@@ -767,8 +768,9 @@ def cross_conjugacy_scan(
     """
     if min(max_len, element_cap) < 1:
         raise ValueError(f"scan needs max_len, element_cap >= 1, got {max_len}, {element_cap}")
-    if len({w.alphabet for w in (*part1, *part2)}) > 1:
-        raise AlphabetMismatch("scan parts over mixed alphabets")
+    words = (*part1, *part2)
+    if words:
+        _check_alphabet(words[0].alphabet, *words)
     started = time.perf_counter()
     params = {"max_len": max_len, "element_cap": element_cap}
     sides = []

@@ -56,9 +56,9 @@ from __future__ import annotations
 from .graphs import _read, _stem_cycle
 from .words import (
     Alphabet,
-    AlphabetMismatch,
     DegenerateInput,
     Word,
+    _check_alphabet,
     _cyclic_root,
     _cyclic_strip,
     _inverse,
@@ -80,8 +80,7 @@ class CosetAutomaton:
     def __init__(self, u: Word, z_mid: Word, v: Word):
         if not u or not v:
             raise DegenerateInput("double cosets need nontrivial cyclic sides")
-        if u.alphabet != z_mid.alphabet or u.alphabet != v.alphabet:
-            raise AlphabetMismatch("double-coset pieces over mixed alphabets")
+        _check_alphabet(u.alphabet, z_mid, v)
         self._wire(u.alphabet, _stem_cycle(*_cyclic_strip(u.letters)), z_mid.letters,
                    _stem_cycle(*_cyclic_strip(v.letters)))
 
@@ -115,8 +114,7 @@ class CosetAutomaton:
         return splits
 
     def accepts(self, w: Word) -> bool:
-        if w.alphabet is not self._alphabet and w.alphabet != self._alphabet:
-            raise AlphabetMismatch("word alphabet differs from double-coset alphabet")
+        _check_alphabet(self._alphabet, w)
         letters = w.letters
         # z1 = letters[:i] reads from the base of G_u to x, then
         # z4 = letters[j:] reads backward from the base of G_v to y
@@ -179,10 +177,7 @@ def _cyclic_coset(relation: str, m: int, x: Word, x2: Word, t: Word) -> bool:
         raise ValueError("m must be a positive integer")
     if not x or not x2:
         raise DegenerateInput(f"{relation} requires nontrivial centralizer anchors")
-    if t.alphabet != x.alphabet:
-        raise AlphabetMismatch("y over a different alphabet from x")
-    if x2.alphabet != x.alphabet:
-        raise AlphabetMismatch("x' over a different alphabet from x")
+    _check_alphabet(x.alphabet, t, x2)
     rx = _cyclic_root(x.letters)
     if not _same_root(rx, _cyclic_root(x2.letters)):
         return False
@@ -219,8 +214,7 @@ def e3(p: int, q: int, x: Word, y: Word, z: Word,
         raise ValueError("p and q must be positive integers")
     if not x or not x2 or not y or not y2:
         raise DegenerateInput("E3 requires nontrivial centralizer anchors")
-    if any(w.alphabet != x.alphabet for w in (y, z, x2, y2, z2)):
-        raise AlphabetMismatch("E3 words over mixed alphabets")
+    _check_alphabet(x.alphabet, y, z, x2, y2, z2)
     sx, px, _ = rx = _cyclic_root(x.letters)
     if not _same_root(rx, _cyclic_root(x2.letters)):
         return False

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .words import Alphabet, AlphabetMismatch, Word, _inverse, invert, multiply
+from .words import Alphabet, Word, _check_alphabet, _inverse, invert, multiply
 
 Steps = Sequence[dict[int, int]]
 
@@ -92,16 +92,19 @@ def _canonical(steps: Steps) -> tuple[dict[int, int], ...]:
 class SubgroupGraph:
     """Immutable folded core graph of a finitely generated subgroup."""
 
-    __slots__ = ("alphabet", "n_vertices", "steps", "generators_of", "_tree")
+    __slots__ = ("alphabet", "steps", "generators_of", "_tree")
 
-    def __init__(self, alphabet, n_vertices, steps, generators_of):
+    def __init__(self, alphabet, steps, generators_of):
         self.alphabet = alphabet
-        self.n_vertices = n_vertices
         self.steps = steps  # steps[v][c] = w for an edge v --c--> w; see above
         self.generators_of = generators_of
         self._tree = None  # see _nontree_edges
 
     base = 0
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.steps)
 
     @property
     def n_edges(self) -> int:
@@ -111,8 +114,7 @@ class SubgroupGraph:
         return self.n_edges - self.n_vertices + 1
 
     def contains(self, w: Word) -> bool:
-        if w.alphabet != self.alphabet:
-            raise AlphabetMismatch("word alphabet differs from graph alphabet")
+        _check_alphabet(self.alphabet, w)
         steps, v = self.steps, self.base
         for c in w.letters:
             v = steps[v].get(c)
@@ -162,8 +164,7 @@ class SubgroupGraph:
         the factors back reproduces w exactly, which makes this an
         independent positive-membership check.
         """
-        if w.alphabet != self.alphabet:
-            raise AlphabetMismatch("word alphabet differs from graph alphabet")
+        _check_alphabet(self.alphabet, w)
         _, _, index = self._nontree_edges()
         steps, v = self.steps, self.base
         factors: list[int] = []
@@ -222,9 +223,7 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
         if not gens:
             raise ValueError("an alphabet is required to fold the trivial subgroup")
         alphabet = gens[0].alphabet
-    for w in gens:
-        if w.alphabet != alphabet:
-            raise AlphabetMismatch("subgroup generators over mixed alphabets")
+    _check_alphabet(alphabet, *gens)
 
     # Vertices are joined by union-find.  A root vertex keeps its step dict;
     # entries may name non-root vertices and are read through find().  A
@@ -310,7 +309,7 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
         if step:
             steps[v] = {c: find(t) for c, t in step.items()}
     steps = _canonical(steps)
-    return SubgroupGraph(alphabet, len(steps), steps, tuple(gens))
+    return SubgroupGraph(alphabet, steps, tuple(gens))
 
 
 def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) -> bool:
@@ -321,17 +320,14 @@ def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) 
     generator lies in <gens>.
     """
     gens = list(gens)
-    if alphabet is None:
-        if not gens:
-            raise ValueError("an alphabet is required for an empty candidate basis")
+    if alphabet is None and gens:
         alphabet = gens[0].alphabet
-    for w in gens:
-        if w.alphabet != alphabet:
-            raise AlphabetMismatch("subgroup generators over mixed alphabets")
-    if len(gens) != alphabet.rank:
-        return False
+    if alphabet is not None:  # else the fold refuses the empty candidate
+        _check_alphabet(alphabet, *gens)
+        if len(gens) != alphabet.rank:
+            return False
     graph = fold_subgroup(gens, alphabet)
-    return all(graph.contains(x) for x in alphabet.generators())
+    return all(graph.contains(x) for x in graph.alphabet.generators())
 
 
 def verify_expression(graph: SubgroupGraph, w: Word) -> bool:

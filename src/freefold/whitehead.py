@@ -70,9 +70,9 @@ from typing import Iterator, Sequence
 
 from .words import (
     Alphabet,
-    AlphabetMismatch,
     DegenerateInput,
     Word,
+    _check_alphabet,
     _cyclic_strip,
     _inverse,
     _least_rotation,
@@ -91,10 +91,9 @@ DEFAULT_BUDGET = 10**6
 def _table(alphabet: Alphabet, images: Sequence[Word]) -> tuple[tuple[int, ...], ...]:
     """Substitution table by letter code: image of generator g at 2g, its
     inverse at 2g + 1."""
+    _check_alphabet(alphabet, *images)
     table: list[tuple[int, ...]] = []
     for img in images:
-        if img.alphabet != alphabet:
-            raise AlphabetMismatch("image over a different alphabet")
         table += (img.letters, _inverse(img.letters))
     return tuple(table)
 
@@ -126,8 +125,7 @@ class Automorphism:
                     raise ValueError(f"recorded inverse fails on generator {name}")
 
     def apply(self, w: Word) -> Word:
-        if w.alphabet != self.alphabet:
-            raise AlphabetMismatch("word alphabet differs from automorphism alphabet")
+        _check_alphabet(self.alphabet, w)
         return Word(self.alphabet, _substitute(self._subst, w.letters))
 
     def inverse(self) -> "Automorphism":
@@ -307,9 +305,7 @@ def _cores(t: Sequence[Word]) -> tuple[Alphabet, list[tuple[int, ...]]]:
     """The alphabet of a nonempty tuple and the cyclically reduced letter
     codes of its entries."""
     alphabet = t[0].alphabet
-    for w in t:
-        if w.alphabet != alphabet:
-            raise AlphabetMismatch("tuple entries over mixed alphabets")
+    _check_alphabet(alphabet, *t)
     return alphabet, [_cyclic_strip(w.letters)[1] for w in t]
 
 

@@ -190,44 +190,37 @@ def _inverse(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([c ^ 1 for c in codes[::-1]])
 
 
-def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The free reduction of ``a + b`` for reduced ``a`` and ``b``.
-
-    Only letters at the junction can cancel: once the first letter of what
-    is left of ``b`` no longer cancels the last of ``a``, the rest is reduced.
-    """
-    n, m = len(a), min(len(a), len(b))
-    k = 0
-    while k < m and a[n - 1 - k] == b[k] ^ 1:
-        k += 1
-    return a[: n - k] + b[k:]
-
-
 def _join_all(pieces: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     """The free reduction of the reduced ``pieces`` laid end to end.
 
-    As in ``_join``, only letters at a junction cancel; each letter is
-    appended once and removed at most once, so this is linear in the letters
-    of the pieces.
+    Only letters at a junction cancel: once the first letter of what is
+    left of a piece no longer cancels the last letter before it, the rest is
+    reduced.  Each letter is appended once and removed at most once, so this
+    is linear in the letters of the pieces.  A junction that does not cancel
+    appends the piece whole, without the scan or a slice.
     """
     acc: list[int] = []
     for b in pieces:
-        n, m = len(acc), min(len(acc), len(b))
-        k = 0
-        while k < m and acc[n - 1 - k] == b[k] ^ 1:
-            k += 1
-        del acc[n - k:]
-        acc += b[k:]
+        if acc and b and acc[-1] == b[0] ^ 1:
+            n, m = len(acc), min(len(acc), len(b))
+            k = 1
+            while k < m and acc[n - 1 - k] == b[k] ^ 1:
+                k += 1
+            acc[n - k:] = b[k:]
+        else:
+            acc += b
     return tuple(acc)
 
 
-def _check_same_alphabet(*words: Word) -> None:
-    first = words[0].alphabet
-    for w in words[1:]:
-        if w.alphabet is not first and w.alphabet != first:
-            raise AlphabetMismatch(
-                f"mixed alphabets {first!r} and {w.alphabet!r}"
-            )
+def _check_alphabet(alphabet: Alphabet, *words: Word) -> None:
+    """The one operand check: every word lies over ``alphabet``.
+
+    Identity is compared first, so the common case of one shared alphabet
+    object costs no tuple comparison.
+    """
+    for w in words:
+        if w.alphabet is not alphabet and w.alphabet != alphabet:
+            raise AlphabetMismatch(f"mixed alphabets {alphabet!r} and {w.alphabet!r}")
 
 
 # -- group operations -------------------------------------------------------
@@ -236,12 +229,12 @@ def _check_same_alphabet(*words: Word) -> None:
 def multiply(u: Word, v: Word) -> Word:
     alphabet = u.alphabet
     if v.alphabet is not alphabet:
-        _check_same_alphabet(u, v)
+        _check_alphabet(alphabet, v)
     a, b = u.letters, v.letters
     w = object.__new__(Word)
     w.alphabet = alphabet
     # reduced operands can cancel only at the junction, so join only there
-    w.letters = _join(a, b) if a and b and a[-1] == b[0] ^ 1 else a + b
+    w.letters = _join_all((a, b)) if a and b and a[-1] == b[0] ^ 1 else a + b
     return w
 
 
@@ -251,18 +244,15 @@ def invert(w: Word) -> Word:
 
 def conjugate(x: Word, g: Word) -> Word:
     """x ** g, i.e. g^-1 * x * g."""
-    _check_same_alphabet(x, g)
-    return _reduced(
-        x.alphabet, _join(_join(_inverse(g.letters), x.letters), g.letters)
-    )
+    _check_alphabet(x.alphabet, g)
+    return _reduced(x.alphabet, _join_all((_inverse(g.letters), x.letters, g.letters)))
 
 
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x y x^-1 y^-1."""
-    _check_same_alphabet(x, y)
+    _check_alphabet(x.alphabet, y)
     xs, ys = x.letters, y.letters
-    codes = _join(_join(_join(xs, ys), _inverse(xs)), _inverse(ys))
-    return _reduced(x.alphabet, codes)
+    return _reduced(x.alphabet, _join_all((xs, ys, _inverse(xs), _inverse(ys))))
 
 
 @dataclass(frozen=True)
@@ -357,7 +347,7 @@ def cyclic_canonical(w: Word) -> Word:
 
 
 def is_conjugate(u: Word, v: Word) -> bool:
-    _check_same_alphabet(u, v)
+    _check_alphabet(u.alphabet, v)
     return cyclic_canonical(u).letters == cyclic_canonical(v).letters
 
 
@@ -406,7 +396,7 @@ def centralizer_equal(x: Word, y: Word) -> bool:
     """Whether <root(x)> == <root(y)>, the centralizer test for nontrivial words."""
     if not x or not y:
         raise DegenerateInput("centralizers are compared for nontrivial words only")
-    _check_same_alphabet(x, y)
+    _check_alphabet(x.alphabet, y)
     return _same_root(_cyclic_root(x.letters), _cyclic_root(y.letters))
 
 

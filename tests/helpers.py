@@ -237,7 +237,7 @@ def naive_fold(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Subgro
     for u, g, v in edges:
         steps[order[u]][2 * g] = order[v]
         steps[order[v]][2 * g + 1] = order[u]
-    return SubgroupGraph(alphabet, n, tuple(steps), tuple(gens))
+    return SubgroupGraph(alphabet, tuple(steps), tuple(gens))
 
 
 def naive_is_basis(gens: Sequence[Word], alphabet: Alphabet) -> bool:

@@ -704,6 +704,17 @@ def test_scan_budget_exhaustion():
     assert report.witnesses == []
 
 
+def test_scan_stops_at_an_empty_level():
+    # a part of trivial words has no element past level 0, so the scan ends
+    # there instead of stepping through max_len empty levels
+    e = Alphabet.parse("a0,b0").identity()
+    report = cross_conjugacy_scan([e], [e], 10**12)
+    assert report.status == "pass"
+    assert report.params["classes_1"] == report.params["classes_2"] == 0
+    b = Alphabet.parse("a0,b0").word("b0")
+    assert cross_conjugacy_scan([e], [b], 10**12).status == "budget-exhausted"
+
+
 def test_scan_rejects_empty_bounds():
     al = Alphabet.parse("a0,b0")
     for max_len, cap in ((0, 10), (-3, 10), (3, 0), (3, -1)):
