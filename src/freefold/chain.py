@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -53,6 +53,7 @@ PASS = "pass"
 FAIL = "fail"
 BUDGET = "budget-exhausted"
 
+DEFAULT_SCAN_LEN = 6
 DEFAULT_SCAN_CAP = 10**5
 
 
@@ -77,19 +78,11 @@ class VerificationReport:
         return self.status == PASS
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "status": self.status,
-            "witnesses": list(self.witnesses),
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
-        return VerificationReport(
-            d["check"], d["params"], d["status"], d["witnesses"], d["elapsed_ms"]
-        )
+        return VerificationReport(**d)
 
 
 def _finish(check: str, params: dict, witnesses: list[str], started: float,
@@ -578,13 +571,9 @@ def dehn_twist_family(
     """Identity on one side, conjugation by c^n on the other, t -> c^n t on
     stable letters.  c must be a word in the fixed side."""
     h_set, k_set, t_set = set(h_part), set(k_part), set(hnn_letters)
-    names = set(alphabet.names)
-    if (
-        h_set | k_set | t_set != names
-        or h_set & k_set
-        or h_set & t_set
-        or k_set & t_set
-    ):
+    # sets that cover the names and whose sizes add up to the rank are disjoint
+    if (h_set | k_set | t_set != set(alphabet.names)
+            or len(h_set) + len(k_set) + len(t_set) != alphabet.rank):
         raise ValueError("h_part, k_part and hnn_letters must partition the alphabet")
     _check_alphabet(alphabet, c)
     h_indices = {alphabet.index(x) for x in h_set}
@@ -592,18 +581,16 @@ def dehn_twist_family(
         raise ValueError("the twisting word must lie in the fixed part")
     cn = c ** n
     cn_inv = invert(cn)
-    images, inverse = [], []
-    for name, x in zip(alphabet.names, alphabet.generators()):
-        if name in h_set:
-            images.append(x)
-            inverse.append(x)
-        elif name in k_set:
-            images.append(multiply(multiply(cn, x), cn_inv))
-            inverse.append(multiply(multiply(cn_inv, x), cn))
-        else:
-            images.append(multiply(cn, x))
-            inverse.append(multiply(cn_inv, x))
-    return Automorphism(alphabet, images, inverse)
+    named = list(zip(alphabet.names, alphabet.generators()))
+
+    def twist(ck: Word, ck_inv: Word) -> list[Word]:
+        return [x if name in h_set
+                else multiply(multiply(ck, x), ck_inv) if name in k_set
+                else multiply(ck, x)
+                for name, x in named]
+
+    # c lies in the fixed side, so the inverse is the twist by c^-n
+    return Automorphism(alphabet, twist(cn, cn_inv), twist(cn_inv, cn))
 
 
 def orbit_distinct_check(
@@ -854,7 +841,7 @@ def run_checks(
     chain: SurfaceChain,
     lemma: str,
     i: int | None = None,
-    max_len: int = 6,
+    max_len: int = DEFAULT_SCAN_LEN,
     element_cap: int = DEFAULT_SCAN_CAP,
 ) -> tuple[list[VerificationReport], list[str]]:
     """Run one registered check, or all of them for ``lemma == "all"``, and

@@ -23,6 +23,7 @@ from .chain import (
     BUDGET,
     CHECKS,
     DEFAULT_SCAN_CAP,
+    DEFAULT_SCAN_LEN,
     FAIL,
     VerificationReport,
     build_chain,
@@ -47,7 +48,7 @@ def _alphabet(text: str) -> Alphabet:
     try:
         return Alphabet.parse(text)
     except ValueError as exc:
-        raise ValueError(f"bad alphabet: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad alphabet: {exc}") from exc
 
 
 def _positive(text: str) -> int:
@@ -89,81 +90,64 @@ def _run_verify(args) -> int:
     return 1 if FAIL in statuses else 3 if BUDGET in statuses else 0
 
 
+def _verdict(result: bool) -> int:
+    print("true" if result else "false")
+    return 0 if result else 1
+
+
 def _cmd_reduce(args) -> int:
-    alphabet = _alphabet(args.alphabet)
     text = args.word if args.word is not None else sys.stdin.read()
-    print(_word(text, alphabet))
+    print(_word(text, args.alphabet))
     return 0
 
 
 def _cmd_conj(args) -> int:
-    alphabet = _alphabet(args.alphabet)
-    print(conjugate(_word(args.x, alphabet), _word(args.g, alphabet)))
+    print(conjugate(_word(args.x, args.alphabet), _word(args.g, args.alphabet)))
     return 0
 
 
 def _cmd_root(args) -> int:
-    alphabet = _alphabet(args.alphabet)
-    r, k = root(_word(args.word, alphabet))
+    r, k = root(_word(args.word, args.alphabet))
     print(f"{r}\t{k}")
     return 0
 
 
 def _cmd_primitive(args) -> int:
-    alphabet = _alphabet(args.alphabet)
-    result = is_primitive(_word(args.word, alphabet), args.budget)
-    print("true" if result else "false")
-    return 0 if result else 1
+    return _verdict(is_primitive(_word(args.word, args.alphabet), args.budget))
 
 
 def _cmd_member(args) -> int:
-    alphabet = _alphabet(args.alphabet)
-    gens = [_word(g, alphabet) for g in args.gen]
-    graph = fold_subgroup(gens, alphabet)
-    result = graph.contains(_word(args.word, alphabet))
-    print("true" if result else "false")
-    return 0 if result else 1
+    graph = fold_subgroup([_word(g, args.alphabet) for g in args.gen], args.alphabet)
+    return _verdict(graph.contains(_word(args.word, args.alphabet)))
 
 
-EQ_OPTIONS = {"e0": (), "e1": ("m",), "e2": ("m",), "e3": ("p", "q")}
+# relation -> (its decider, the exponent options it takes, the names of its words)
+EQ = {
+    "e0": (e0, (), "x y"),
+    "e1": (e1, ("m",), "x y x' y'"),
+    "e2": (e2, ("m",), "x y x' y'"),
+    "e3": (e3, ("p", "q"), "x y z x' y' z'"),
+}
 
 
 def _cmd_eq(args) -> int:
-    relation = args.relation
-    for option in ("m", "p", "q"):
-        if getattr(args, option) is not None and option not in EQ_OPTIONS[relation]:
-            raise ValueError(f"--{option} does not apply to {relation}")
-    m, p, q = (1 if value is None else value for value in (args.m, args.p, args.q))
-    alphabet = _alphabet(args.alphabet)
-    words = [_word(w, alphabet) for w in args.words]
-    if relation == "e0":
-        if len(words) != 2:
-            raise ValueError("e0 takes 2 words: x y")
-        result = e0(*words)
-    elif relation in ("e1", "e2"):
-        if len(words) != 4:
-            raise ValueError(f"{relation} takes 4 words: x y x' y'")
-        fn = e1 if relation == "e1" else e2
-        result = fn(m, *words)
-    else:
-        if len(words) != 6:
-            raise ValueError("e3 takes 6 words: x y z x' y' z'")
-        result = e3(p, q, *words)
-    print("true" if result else "false")
-    return 0 if result else 1
+    decide, options, names = EQ[args.relation]
+    given = {o: getattr(args, o) for o in ("m", "p", "q") if getattr(args, o) is not None}
+    for option in given:
+        if option not in options:
+            raise ValueError(f"--{option} does not apply to {args.relation}")
+    words = [_word(w, args.alphabet) for w in args.words]
+    if len(words) != len(names.split()):
+        raise ValueError(f"{args.relation} takes {len(names.split())} words: {names}")
+    return _verdict(decide(*(given.get(o, 1) for o in options), *words))
 
 
 def _cmd_gn(args) -> int:
     chain = build_chain(args.n)
     if args.format == "json":
-        payload = {
-            "n": chain.n,
-            "alphabet": list(chain.alphabet.names),
-            "c": [str(w) for w in chain.c],
-            "d": [str(w) for w in chain.d],
-            "s": [str(w) for w in chain.s],
-        }
-        print(json.dumps(payload, indent=2))
+        words = {key: [str(w) for w in getattr(chain, key)] for key in ("c", "d", "s")}
+        print(json.dumps({"n": chain.n, "alphabet": list(chain.alphabet.names), **words},
+                         indent=2))
         return 0
     print(f"alphabet: {','.join(chain.alphabet.names)}")
     for i in range(chain.n + 1):
@@ -180,39 +164,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact free-group computations and construction certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    alphabet = argparse.ArgumentParser(add_help=False)
+    alphabet.add_argument("--alphabet", required=True, type=_alphabet)
+    # eq lists its relation before --alphabet, in its usage errors too
+    relation = argparse.ArgumentParser(add_help=False)
+    relation.add_argument("relation", choices=EQ)
 
-    p = sub.add_parser("reduce", help="freely reduce a word (stdin if omitted)")
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("reduce", parents=[alphabet],
+                       help="freely reduce a word (stdin if omitted)")
     p.add_argument("word", nargs="?")
     p.set_defaults(fn=_cmd_reduce)
 
-    p = sub.add_parser("conj", help="conjugate x by g (g^-1 x g)")
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("conj", parents=[alphabet], help="conjugate x by g (g^-1 x g)")
     p.add_argument("x")
     p.add_argument("g")
     p.set_defaults(fn=_cmd_conj)
 
-    p = sub.add_parser("root", help="maximal root and exponent of a word")
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("root", parents=[alphabet], help="maximal root and exponent of a word")
     p.add_argument("word")
     p.set_defaults(fn=_cmd_root)
 
-    p = sub.add_parser("primitive", help="is the word part of some basis")
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("primitive", parents=[alphabet], help="is the word part of some basis")
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("word")
     p.set_defaults(fn=_cmd_primitive)
 
-    p = sub.add_parser("member", help="subgroup membership via folded graph")
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("member", parents=[alphabet],
+                       help="subgroup membership via folded graph")
     p.add_argument("--gen", action="append", required=True,
                    help="subgroup generator (repeatable)")
     p.add_argument("word")
     p.set_defaults(fn=_cmd_member)
 
-    p = sub.add_parser("eq", help="decide a basic equivalence relation")
-    p.add_argument("relation", choices=["e0", "e1", "e2", "e3"])
-    p.add_argument("--alphabet", required=True)
+    p = sub.add_parser("eq", parents=[relation, alphabet],
+                       help="decide a basic equivalence relation")
     p.add_argument("--m", type=int, help="e1/e2 exponent (default 1)")
     p.add_argument("--p", type=int, help="e3 exponent on the x side (default 1)")
     p.add_argument("--q", type=int, help="e3 exponent on the y side (default 1)")
@@ -231,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--budget", type=_positive, default=DEFAULT_SCAN_CAP)
-    p.add_argument("--max-len", type=_positive, default=6, dest="max_len")
+    p.add_argument("--max-len", type=_positive, default=DEFAULT_SCAN_LEN, dest="max_len")
     p.add_argument("--flip-convention", action="store_true",
                    help=argparse.SUPPRESS)  # fault injection for testing
     p.set_defaults(fn=_run_verify)

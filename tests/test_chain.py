@@ -644,8 +644,14 @@ def test_dehn_twist_examples():
 
 def test_dehn_twist_preconditions():
     xyz = Alphabet.parse("x,y,z")
-    with pytest.raises(ValueError):
-        dehn_twist_family(xyz, ["x"], ["z"], [], xyz.gen("x"), 1)
+    # the three parts must partition the names: none missing, shared or foreign
+    for parts in ((["x"], ["z"], []), (["x", "y"], ["y", "z"], []),
+                  (["x", "y"], ["z"], ["z"]), (["x", "y", "w"], ["z"], [])):
+        with pytest.raises(ValueError, match="partition"):
+            dehn_twist_family(xyz, *parts, xyz.gen("x"), 1)
+    # a name repeated within one part is still a partition
+    twist = dehn_twist_family(xyz, ["x", "x", "y"], ["z"], [], xyz.gen("x"), 1)
+    assert str(twist.apply(xyz.word("z"))) == "x z x^-1"
     with pytest.raises(ValueError):
         dehn_twist_family(xyz, ["x", "y"], ["z"], [], xyz.gen("z"), 1)
     with pytest.raises(AlphabetMismatch):
