@@ -13,6 +13,8 @@ produces an isomorphic group (swap each t_i for its inverse), but only one
 of the two closes the glued-surface relator that ``surface_rewrite``
 computes.  ``build_chain`` defaults to the closing one and
 ``verify_surface_rewrite`` checks that exactly one of the two does close.
+A chain stores its c-words and d_n only: for i < n, d_i has no t_i letter,
+so d_i is c_{i+1} without its end letters, read back off it when asked.
 
 Every verifier returns a structured VerificationReport so callers can emit
 witnesses on failure instead of a bare boolean.  ``CHECKS`` is the registry
@@ -42,7 +44,6 @@ from .words import (
     _join_all,
     _reduced,
     _same_root,
-    commutator,
     conjugate,
     cyclic_canonical,
     invert,
@@ -97,30 +98,38 @@ def _finish(check: str, params: dict, witnesses: list[str], started: float,
 class SurfaceChain:
     """Derived-element table of the glued-surface group of depth n.
 
-    A chain holds n + 1 c-words and n + 1 d-words (ValueError otherwise),
-    all over ``chain_alphabet(n)`` (AlphabetMismatch otherwise), so the
-    checks find each letter at its position and read letter codes directly.
+    A chain holds n + 1 c-words (ValueError otherwise) and d_n, all over
+    ``chain_alphabet(n)`` (AlphabetMismatch otherwise), so the checks find
+    each letter at its position and read letter codes directly; ``d`` reads
+    the other d_i off c_{i+1}, so none can disagree with it.
     """
 
     n: int
     c: tuple[Word, ...]
-    d: tuple[Word, ...]
+    d_n: Word
     inverted_stable_letters: bool = False
 
     def __post_init__(self):
         n = self.n
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if len(self.c) != n + 1 or len(self.d) != n + 1:
-            raise ValueError(f"a depth-{n} chain has {n + 1} c- and d-words, "
-                             f"not {len(self.c)} and {len(self.d)}")
+        if len(self.c) != n + 1:
+            raise ValueError(f"a depth-{n} chain has {n + 1} c-words, not {len(self.c)}")
         if self.alphabet != chain_alphabet(n):
             raise AlphabetMismatch(f"{self.alphabet!r} is not the depth-{n} chain alphabet")
-        _check_alphabet(self.alphabet, *self.c, *self.d)
+        _check_alphabet(self.alphabet, *self.c, self.d_n)
 
     @property
     def alphabet(self) -> Alphabet:
         return self.c[0].alphabet
+
+    @property
+    def d(self) -> tuple[Word, ...]:
+        """d_0 ... d_n, built on every read: each d_i with i < n is c_{i+1}
+        conjugated back by its gluing letter (``verify_relation_chain``)."""
+        t = self.generators[3::3]  # t_0 ... t_{n-1}
+        back = t if self.inverted_stable_letters else map(invert, t)
+        return (*map(conjugate, self.c[1:], back), self.d_n)
 
     @cached_property
     def generators(self) -> list[Word]:
@@ -139,11 +148,8 @@ class SurfaceChain:
     @cached_property
     def s(self) -> tuple[Word, ...]:
         """The stable-letter products s_i = (t_0 ... t_i)^-1, for 0 <= i < n."""
-        s, acc = [], self.alphabet.identity()
-        for i in range(self.n):
-            acc = multiply(invert(self.t(i)), acc)
-            s.append(acc)
-        return tuple(s)
+        return tuple(_reduced(self.alphabet, _inverse(_stable_prefix(j)))
+                     for j in range(1, self.n + 1))
 
     def _letter(self, i: int, position: int) -> Word:
         if i < 0 or position >= len(self.generators):
@@ -168,18 +174,20 @@ def chain_alphabet(n: int) -> Alphabet:
     return Alphabet(names)
 
 
+def _glued(i: int, c_i: tuple[int, ...], t: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """The letters of t^-1 c_i^-1 [a_i, b_i]^-1 t, for ``t`` a gluing letter's code or ()."""
+    a, b = 6 * i + 2, 6 * i + 4
+    return _join_all((_inverse(t), _inverse(c_i), (b, a, b ^ 1, a ^ 1), t))
+
+
 def build_chain(n: int, inverted_stable_letters: bool = False) -> SurfaceChain:
+    """c_0 = c0, c_{i+1} = t_i^-e d_i t_i^e (e = -1 for inverted stable letters), and d_n."""
+    c = [(0,)]
+    for i in range(n):
+        c.append(_glued(i, c[i], (6 * i + 6 + inverted_stable_letters,)))  # t_i^e
     alphabet = chain_alphabet(n)
-    letters = alphabet.generators()
-    c = [letters[0]]
-    d: list[Word] = []
-    for i in range(n + 1):
-        a_i, b_i = letters[3 * i + 1], letters[3 * i + 2]
-        d.append(multiply(invert(c[i]), invert(commutator(a_i, b_i))))
-        if i < n:
-            t_i = letters[3 * i + 3]
-            c.append(conjugate(d[i], invert(t_i) if inverted_stable_letters else t_i))
-    return SurfaceChain(n, tuple(c), tuple(d), inverted_stable_letters)
+    return SurfaceChain(n, tuple(_reduced(alphabet, w) for w in c),
+                        _reduced(alphabet, _glued(n, c[n])), inverted_stable_letters)
 
 
 def _require(lemma: str, n: int) -> None:
@@ -189,20 +197,28 @@ def _require(lemma: str, n: int) -> None:
 
 
 def verify_relation_chain(chain: SurfaceChain) -> VerificationReport:
-    """Executable form of the surface relations and the gluing recursion."""
+    """The surface relations c_i d_i [a_i, b_i] = 1 and the gluing
+    c_{i+1} = d_i^(t_i), on the stored words.  The relation fixes
+    d_i = c_i^-1 [a_i, b_i]^-1, so each c_{i+1} is compared letter for letter
+    with t_i^-1 c_i^-1 [a_i, b_i]^-1 t_i, and c_n d_n [a_n, b_n] is reduced; a
+    witness is formatted only on a mismatch.  The check glues by t_i in
+    either convention, so an inverted chain fails at every i < n.
+
+    On a built chain nothing cancels, in either convention, and
+    d_i = c_{i+1}[1:-1] (``d``): by induction c_i has letters at positions up
+    to 3i only and begins and ends with c0^(+-1) or t_{i-1}^(+-1), so
+    d_i = c_i^-1 [b_i, a_i] is reduced as written, with no t_i letter (3i + 3).
+    """
     started = time.perf_counter()
-    witnesses = []
-    for i in range(chain.n + 1):
-        residue = multiply(
-            multiply(chain.c[i], chain.d[i]), commutator(chain.a(i), chain.b(i))
-        )
-        if residue:
-            witnesses.append(f"i={i}: c d [a,b] = {residue}")
-    for i in range(chain.n):
-        expected = conjugate(chain.d[i], chain.t(i))
-        if chain.c[i + 1] != expected:
-            witnesses.append(f"i={i + 1}: c differs from d^t = {expected}")
-    return _finish("relation_chain", {"n": chain.n}, witnesses, started)
+    n, c, alphabet = chain.n, [w.letters for w in chain.c], chain.alphabet
+    a, b = 6 * n + 2, 6 * n + 4
+    residue = _join_all((c[n], chain.d_n.letters, (a, b, a ^ 1, b ^ 1)))
+    witnesses = [f"i={n}: c d [a,b] = {_reduced(alphabet, residue)}"] if residue else []
+    for i in range(n):
+        expected = _glued(i, c[i], (6 * i + 6,))  # t_i
+        if c[i + 1] != expected:
+            witnesses.append(f"i={i + 1}: c differs from d^t = {_reduced(alphabet, expected)}")
+    return _finish("relation_chain", {"n": n}, witnesses, started)
 
 
 def _c0_once(w: Word) -> bool:
@@ -326,7 +342,7 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
     """
     _require("surface", chain.n)
     n, alphabet = chain.n, chain.alphabet
-    d_n = chain.d[n].letters
+    d_n = chain.d_n.letters
     d_np = _reduced(alphabet, _d_prime(n, d_n))
     new_basis = [chain.a(0), chain.b(0)]
     for j in range(1, n + 1):
@@ -340,18 +356,15 @@ def surface_rewrite(chain: SurfaceChain) -> SurfaceRewrite:
 
 
 def _last_boundary(n: int, inverted_stable_letters: bool) -> tuple[int, ...]:
-    """The letters of ``build_chain(n, inverted_stable_letters).d[n]``, in O(n).
+    """The letters of ``build_chain(n, inverted_stable_letters).d_n``, in O(n),
+    without the c-words.
 
-    Let t_i^e be the letter the convention glues by: e = 1, the code
-    6i + 6, by default, and e = -1, the code 6i + 7, when it inverts the
-    stable letters.  c_0 = c0 and c_{i+1} = t_i^-e c_i^-1 [b_i, a_i] t_i^e,
-    so d_n = c_n^-1 [b_n, a_n] is built in n + 1 steps, each of which
-    inverts the word so far and puts O(1) letters at its ends.  The word is
-    kept in a deque with a flag for whether the deque holds it or its
-    inverse, so no step copies it.  No junction cancels: c_i^-1 begins with
-    t_{i-1}^(+-1) or c0^-1 and ends with t_{i-1}^(+-1) or c0^-1, next to
-    t_i^-e and b_i, letters on other generators, and [b_i, a_i] t_i^e is
-    reduced.
+    With t_i^e the gluing letter (the code 6i + 6, or 6i + 7 when the stable
+    letters are inverted), c_0 = c0, c_{i+1} = t_i^-e c_i^-1 [b_i, a_i] t_i^e
+    and d_n = c_n^-1 [b_n, a_n]: n + 1 steps, each of which inverts the word
+    so far and puts O(1) letters at its ends, where nothing cancels
+    (``verify_relation_chain``).  The word is kept in a deque with a flag for
+    whether the deque holds it or its inverse, so no step copies it.
     """
     word, backwards = deque([0]), False
     for i in range(n + 1):
@@ -418,7 +431,7 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
     n = chain.n
     _require("surface", n)
     witnesses = []
-    d_n = chain.d[n].letters
+    d_n = chain.d_n.letters
     residue = _relator_residue(n, chain.c[0].letters, d_n)
     if residue:
         witnesses.append(f"primed residue: {_reduced(chain.alphabet, residue)}")
@@ -426,15 +439,10 @@ def verify_surface_rewrite(chain: SurfaceChain) -> VerificationReport:
         witnesses.append("rewritten generating set is not a basis")
     other = _relator_residue(n, (0,), _last_boundary(n, not chain.inverted_stable_letters))
     if bool(residue) == bool(other):
-        witnesses.append(
-            "conventions are not separated: flipped-residue "
-            f"{'empty' if not other else _reduced(chain.alphabet, other)}"
-        )
-    params = {
-        "n": n,
-        "basis_size": 3 * n + 3,
-        "inverted_stable_letters": int(chain.inverted_stable_letters),
-    }
+        flipped = _reduced(chain.alphabet, other) if other else "empty"
+        witnesses.append(f"conventions are not separated: flipped-residue {flipped}")
+    params = {"n": n, "basis_size": 3 * n + 3,
+              "inverted_stable_letters": int(chain.inverted_stable_letters)}
     return _finish("surface_rewrite", params, witnesses, started)
 
 
@@ -535,9 +543,7 @@ def explicit_flag_decomposition(chain: SurfaceChain, i: int) -> VerificationRepo
     for w in chain.h_tuples[2 * (i + 1)]:
         if not in_hl(w):
             witnesses.append(f"stage-{2 * (i + 1)} entry {w} escapes H u L")
-    return _finish(
-        "flag_decomposition", {"n": chain.n, "i": i}, witnesses, started
-    )
+    return _finish("flag_decomposition", {"n": chain.n, "i": i}, witnesses, started)
 
 
 def verify_not_decomposable(chain: SurfaceChain) -> VerificationReport:
@@ -551,7 +557,7 @@ def verify_not_decomposable(chain: SurfaceChain) -> VerificationReport:
     started = time.perf_counter()
     witnesses = []
     vec_c0 = exponent_vector(chain.c[0])
-    vec_dn = exponent_vector(chain.d[chain.n])
+    vec_dn = exponent_vector(chain.d_n)
     sign = (-1) ** (chain.n + 1)
     if vec_dn != tuple(sign * x for x in vec_c0):
         witnesses.append(f"exponent vector of d_n is {vec_dn}, not {sign} * vec(c0)")
@@ -618,9 +624,7 @@ def orbit_distinct_check(
             # and words.centralizer_equal, on forms computed once per image
             if keys[p] == keys[q] or _same_root(roots[p], roots[q]):
                 params = {**params, "p": p, "q": q}
-                return _finish(
-                    check, params, [str(images[p]), str(images[q])], started
-                )
+                return _finish(check, params, [str(images[p]), str(images[q])], started)
     return _finish(check, params, [], started)
 
 
@@ -764,9 +768,7 @@ def cross_conjugacy_scan(
     for part in (part1, part2):
         classes = _side_classes(part, max_len, element_cap)
         if classes is None:
-            return _finish(
-                "conjugacy_separation", params, [], started, status=BUDGET
-            )
+            return _finish("conjugacy_separation", params, [], started, status=BUDGET)
         sides.append(classes)
     common = sorted(set(sides[0]) & set(sides[1]))
     witnesses = []
@@ -787,10 +789,7 @@ def documented_orbit_instances() -> list[tuple[str, Callable[[int], Automorphism
     hnn = Alphabet(["x", "y", "t"])
     c2 = hnn.gen("x")
     fam2 = lambda k: dehn_twist_family(hnn, ["x", "y"], [], ["t"], c2, k)
-    return [
-        ("amalgam", fam1, amalgam.word("y z"), 10),
-        ("hnn", fam2, hnn.word("y t"), 10),
-    ]
+    return [("amalgam", fam1, amalgam.word("y z"), 10), ("hnn", fam2, hnn.word("y t"), 10)]
 
 
 def separation_parts(chain: SurfaceChain) -> tuple[list[Word], list[Word]]:

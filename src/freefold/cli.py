@@ -144,17 +144,17 @@ def _cmd_eq(args) -> int:
 
 def _cmd_gn(args) -> int:
     chain = build_chain(args.n)
+    # chain.d builds every d-word afresh, so each list is read once
+    words = {key: [str(w) for w in getattr(chain, key)] for key in ("c", "d", "s")}
     if args.format == "json":
-        words = {key: [str(w) for w in getattr(chain, key)] for key in ("c", "d", "s")}
         print(json.dumps({"n": chain.n, "alphabet": list(chain.alphabet.names), **words},
                          indent=2))
         return 0
     print(f"alphabet: {','.join(chain.alphabet.names)}")
-    for i in range(chain.n + 1):
-        print(f"c{i} = {chain.c[i]}")
-        print(f"d{i} = {chain.d[i]}")
-    for i in range(chain.n):
-        print(f"s{i} = {chain.s[i]}")
+    for i, (c, d) in enumerate(zip(words["c"], words["d"])):
+        print(f"c{i} = {c}\nd{i} = {d}")
+    for i, s in enumerate(words["s"]):
+        print(f"s{i} = {s}")
     return 0
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded random words, small enumerations, words
 re-expressed by name, the chain's named complements, the reference fold and basis test, the reference least rotation, the
+chain built with ``multiply``, the two-loop relation check, the
 step-by-step surface residue, the fold-based flag check, the reference ball
 scan, the full set of Whitehead moves, the reference Whitehead descent and
 level-set sweep, the round-based coset automaton and the maximal-minor
@@ -22,6 +23,7 @@ from freefold.chain import (
     VerificationReport,
     _c0_once,
     _finish,
+    chain_alphabet,
     flag_parts,
 )
 from freefold.graphs import SubgroupGraph, fold_subgroup
@@ -255,6 +257,51 @@ def naive_is_basis(gens: Sequence[Word], alphabet: Alphabet) -> bool:
     return all(graph.contains(x) for x in alphabet.generators())
 
 
+def naive_build_chain(
+    n: int, inverted_stable_letters: bool = False
+) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """The c-words and every d-word of the depth-n chain, each built with
+    ``multiply`` and ``conjugate`` from letters taken by name:
+    d_i = c_i^-1 [a_i, b_i]^-1, and c_{i+1} = d_i ** t_i, or d_i ** t_i^-1
+    when the stable letters are inverted.
+
+    Test oracle for ``freefold.chain.build_chain``, which builds the c-words
+    and d_n from their letters, and for ``SurfaceChain.d``, which reads the
+    other d-words off the c-words.
+    """
+    gen = chain_alphabet(n).gen
+    c, d = [gen("c0")], []
+    for i in range(n + 1):
+        d.append(multiply(invert(c[i]), invert(commutator(gen(f"a{i}"), gen(f"b{i}")))))
+        if i < n:
+            t_i = gen(f"t{i}")
+            c.append(conjugate(d[i], invert(t_i) if inverted_stable_letters else t_i))
+    return tuple(c), tuple(d)
+
+
+def naive_relation_chain(chain: SurfaceChain, d: Sequence[Word]) -> VerificationReport:
+    """The relation check on explicit d-words: the residue c_i d_i [a_i, b_i]
+    for every i, then c_{i+1} against d_i ** t_i for i < n, each with
+    ``multiply``.
+
+    Test oracle for ``freefold.chain.verify_relation_chain``, which reads
+    only the stored words and compares each c_{i+1} with the word the
+    relation and the gluing give; fed the chain's ``d``, the two agree on
+    status.
+    """
+    started = time.perf_counter()
+    witnesses = []
+    for i in range(chain.n + 1):
+        residue = multiply(multiply(chain.c[i], d[i]), commutator(chain.a(i), chain.b(i)))
+        if residue:
+            witnesses.append(f"i={i}: c d [a,b] = {residue}")
+    for i in range(chain.n):
+        expected = conjugate(d[i], chain.t(i))
+        if chain.c[i + 1] != expected:
+            witnesses.append(f"i={i + 1}: c differs from d^t = {expected}")
+    return _finish("relation_chain", {"n": chain.n}, witnesses, started)
+
+
 def naive_primed_residue(chain: SurfaceChain) -> Word:
     """The surface relator's identity residue, one ``multiply`` per piece,
     with the handles conjugated by the O(n^2)-letter ``chain.s``.
@@ -268,7 +315,7 @@ def naive_primed_residue(chain: SurfaceChain) -> Word:
     n = chain.n
     handles = [(conjugate(chain.a(i), chain.s[i - 1]), conjugate(chain.b(i), chain.s[i - 1]))
                for i in range(1, n + 1)]
-    d_np = conjugate(chain.d[n], chain.s[n - 1])
+    d_np = conjugate(chain.d_n, chain.s[n - 1])
     rhs = commutator(chain.b(0), chain.a(0))
     for a_p, b_p in handles[1::2]:
         rhs = multiply(rhs, commutator(b_p, a_p))
@@ -286,7 +333,7 @@ def naive_rewrite_basis(chain: SurfaceChain) -> list[Word]:
     handles out from the letters of t_0 ... t_{j-1}.
     """
     n = chain.n
-    d_np = conjugate(chain.d[n], chain.s[n - 1])
+    d_np = conjugate(chain.d_n, chain.s[n - 1])
     basis = [chain.a(0), chain.b(0)]
     for j in range(1, n + 1):
         handle = [conjugate(x, chain.s[j - 1]) for x in (chain.a(j), chain.b(j))]

@@ -67,7 +67,6 @@ def test_a_foreign_operand_is_named(name):
 def test_a_foreign_chain_word_is_named():
     chain = build_chain(1)
     other = Alphabet([name + "_" for name in chain.alphabet.names])
-    d = (chain.d[0], Word(other, chain.d[1].letters))
     with pytest.raises(AlphabetMismatch) as info:
-        dataclasses.replace(chain, d=d)
+        dataclasses.replace(chain, d_n=Word(other, chain.d_n.letters))
     assert repr(chain.alphabet) in str(info.value) and repr(other) in str(info.value)

@@ -43,10 +43,12 @@ from freefold.words import (
 )
 from helpers import (
     complement_basis,
+    naive_build_chain,
     naive_cross_conjugacy_scan,
     naive_flag_decomposition,
     naive_is_basis,
     naive_primed_residue,
+    naive_relation_chain,
     naive_rewrite_basis,
     restrict_word,
 )
@@ -138,6 +140,51 @@ def test_relation_chain_n0_vacuous_gluing():
     assert verify_relation_chain(build_chain(0)).passed
 
 
+def test_build_matches_the_multiply_oracle():
+    for n in range(41):
+        for flip in (False, True):
+            ch = build_chain(n, flip)
+            c, d = naive_build_chain(n, flip)
+            assert (ch.c, ch.d_n, ch.d) == (c, d[-1], d)
+            # nothing cancels in the gluing, so d_i is c_{i+1} without its end letters
+            assert all(d_i.letters == c_next.letters[1:-1] for d_i, c_next in zip(d, c[1:]))
+
+
+def _perturbed_relation_chains(rng, count):
+    """Chains at n = 0 ... 12, in either convention, with one c_i or d_n
+    multiplied on either side by 1-3 random letters or their inverses."""
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        ch = build_chain(n, inverted_stable_letters=rng.random() < 0.5)
+        k = rng.randint(0, n + 1)  # n + 1 stands for d_n
+        w = ch.d_n if k == n + 1 else ch.c[k]
+        for _ in range(rng.randint(1, 3)):
+            x = rng.choice(ch.generators)
+            if rng.random() < 0.5:
+                x = invert(x)
+            w = multiply(x, w) if rng.random() < 0.5 else multiply(w, x)
+        if k == n + 1:
+            yield dataclasses.replace(ch, d_n=w)
+        else:
+            yield dataclasses.replace(ch, c=ch.c[:k] + (w,) + ch.c[k + 1:])
+
+
+def test_relation_check_matches_the_two_loop_oracle():
+    # built chains give the oracle's report, witnesses included
+    for n in range(25):
+        for flip in (False, True):
+            ch = build_chain(n, flip)
+            report, oracle = verify_relation_chain(ch), naive_relation_chain(ch, ch.d)
+            assert (report.status, report.witnesses) == (oracle.status, oracle.witnesses)
+            assert report.passed != flip or n == 0
+    seen = set()
+    for ch in _perturbed_relation_chains(random.Random(173), 600):
+        status = verify_relation_chain(ch).status
+        assert status == naive_relation_chain(ch, ch.d).status
+        seen.add((ch.inverted_stable_letters, status))
+    assert {(False, "fail"), (True, "fail")} <= seen
+
+
 def test_free_factor_chain_passes():
     for n in (1, 2, 3, 4):
         assert verify_free_factor_chain(build_chain(n)).passed
@@ -154,26 +201,28 @@ def test_chain_rejects_a_word_over_another_alphabet():
     ch = build_chain(6)
     renamed = Alphabet([name + "x" for name in ch.alphabet.names])
     for foreign in (renamed, chain_alphabet(5)):
-        for field in ("c", "d"):
-            for k in (0, 6):
-                words = list(getattr(ch, field))
-                if max(words[k].letters) >= 2 * foreign.rank:
-                    # the depth-6 word has letters past the depth-5 alphabet
-                    with pytest.raises(AlphabetMismatch):
-                        Word(foreign, words[k].letters)
-                    continue
-                words[k] = Word(foreign, words[k].letters)
+        for k in (0, 6, "d_n"):
+            word = ch.d_n if k == "d_n" else ch.c[k]
+            if max(word.letters) >= 2 * foreign.rank:
+                # the depth-6 word has letters past the depth-5 alphabet
                 with pytest.raises(AlphabetMismatch):
-                    dataclasses.replace(ch, **{field: tuple(words)})
-                fields = {"c": ch.c, "d": ch.d, field: tuple(words)}
-                with pytest.raises(AlphabetMismatch):
-                    chain_mod.SurfaceChain(ch.n, fields["c"], fields["d"])
+                    Word(foreign, word.letters)
+                continue
+            fields = {"c": ch.c, "d_n": ch.d_n}
+            if k == "d_n":
+                fields["d_n"] = Word(foreign, word.letters)
+            else:
+                fields["c"] = ch.c[:k] + (Word(foreign, word.letters),) + ch.c[k + 1:]
+            with pytest.raises(AlphabetMismatch):
+                dataclasses.replace(ch, **fields)
+            with pytest.raises(AlphabetMismatch):
+                chain_mod.SurfaceChain(ch.n, fields["c"], fields["d_n"])
     assert ch.h_reach == tuple(max(max(w.letters, default=0) >> 1 for w in t)
                                for t in ch.h_tuples)
     # an equal alphabet is the chain's alphabet, whatever the object
     al = chain_alphabet(6)
     same = dataclasses.replace(ch, c=tuple(Word(al, w.letters) for w in ch.c))
-    assert same.alphabet is al and same.d[0].alphabet is not al
+    assert same.alphabet is al and same.d_n.alphabet is not al
     for check in (verify_free_factor_chain, verify_surface_rewrite):
         assert check(same).passed
     assert explicit_flag_decomposition(same, 2).passed
@@ -184,35 +233,37 @@ def test_chain_refuses_any_other_shape_or_layout():
     with pytest.raises(ValueError, match="n must be nonnegative"):
         build_chain(-1)
     with pytest.raises(ValueError, match="n must be nonnegative"):
-        chain_mod.SurfaceChain(-1, ch.c[:0], ch.d[:0])
+        chain_mod.SurfaceChain(-1, ch.c[:0], ch.d_n)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         dataclasses.replace(ch, n=-1)
-    extra = multiply(ch.d[-1], ch.a(0))
-    shapes = {
-        "c": (ch.c[:-1], ch.c + (ch.c[-1],)),
-        "d": (ch.d[:-1], ch.d + (extra,)),
-    }
-    for field, (fewer, more) in shapes.items():
-        for words in (fewer, more):
-            fields = {"c": ch.c, "d": ch.d, field: words}
-            with pytest.raises(ValueError, match="depth-4 chain has 5"):
-                dataclasses.replace(ch, **{field: words})
-            with pytest.raises(ValueError, match="depth-4 chain has 5"):
-                chain_mod.SurfaceChain(4, fields["c"], fields["d"])
+    # one c-word fewer or more; a chain stores one d-word, d_n
+    for words in (ch.c[:-1], ch.c + (ch.c[-1],)):
+        with pytest.raises(ValueError, match="depth-4 chain has 5 c-words"):
+            dataclasses.replace(ch, c=words)
+        with pytest.raises(ValueError, match="depth-4 chain has 5 c-words"):
+            chain_mod.SurfaceChain(4, words, ch.d_n)
     # the words of a depth-3 chain, or the first four of a depth-4 chain,
     # are the right number for the other depth but lie over its alphabet
     shallow = build_chain(3)
     with pytest.raises(AlphabetMismatch):
-        dataclasses.replace(shallow, c=ch.c[:4], d=ch.d[:4])
+        dataclasses.replace(shallow, c=ch.c[:4], d_n=ch.d_n)
     with pytest.raises(AlphabetMismatch):
-        chain_mod.SurfaceChain(4, shallow.c + (shallow.c[0],), shallow.d + (shallow.d[0],))
+        chain_mod.SurfaceChain(4, shallow.c + (shallow.c[0],), shallow.d_n)
     # an extra letter after the layout's
     wide = Alphabet(list(ch.alphabet.names) + ["zz"])
-    c, d = (tuple(restrict_word(w, wide) for w in words) for words in (ch.c, ch.d))
+    c, d_n = tuple(restrict_word(w, wide) for w in ch.c), restrict_word(ch.d_n, wide)
     with pytest.raises(AlphabetMismatch):
-        dataclasses.replace(ch, c=c, d=d)
+        dataclasses.replace(ch, c=c, d_n=d_n)
     with pytest.raises(AlphabetMismatch):
-        chain_mod.SurfaceChain(4, c, d)
+        chain_mod.SurfaceChain(4, c, d_n)
+
+
+def test_chain_stores_its_c_words_and_d_n_only():
+    fields = [f.name for f in dataclasses.fields(chain_mod.SurfaceChain)]
+    assert fields == ["n", "c", "d_n", "inverted_stable_letters"]
+    ch = build_chain(3)
+    d = ch.d
+    assert d[-1] is ch.d_n and ch.d is not d and "d" not in vars(ch)
 
 
 def test_free_factor_chain_rejects_n0():
@@ -229,11 +280,11 @@ def test_free_factor_chain_checks_alphabet_order():
         names = list(ch.alphabet.names)
         names[i], names[j] = names[j], names[i]
         al = Alphabet(names)
-        c, d = (tuple(restrict_word(w, al) for w in words) for words in (ch.c, ch.d))
+        c, d_n = tuple(restrict_word(w, al) for w in ch.c), restrict_word(ch.d_n, al)
         with pytest.raises(AlphabetMismatch):
-            dataclasses.replace(ch, c=c, d=d)
+            dataclasses.replace(ch, c=c, d_n=d_n)
         with pytest.raises(AlphabetMismatch):
-            chain_mod.SurfaceChain(ch.n, c, d)
+            chain_mod.SurfaceChain(ch.n, c, d_n)
 
 
 def test_free_factor_chain_rejects_a_word_outside_its_stage():
@@ -313,9 +364,7 @@ def _perturbed_surface_chains(rng, count):
                 w = multiply(x, w) if rng.random() < 0.5 else multiply(w, x)
             return w
 
-        c, d = list(ch.c), list(ch.d)
-        c[0], d[-1] = perturb(c[0]), perturb(d[-1])
-        yield dataclasses.replace(ch, c=tuple(c), d=tuple(d))
+        yield dataclasses.replace(ch, c=(perturb(ch.c[0]), *ch.c[1:]), d_n=perturb(ch.d_n))
 
 
 def test_surface_basis_witness_matches_fold_oracle():
@@ -368,7 +417,7 @@ def test_primed_residue_matches_step_by_step_oracle():
 
 
 def _telescoped(ch):
-    return chain_mod._relator_residue(ch.n, ch.c[0].letters, ch.d[ch.n].letters)
+    return chain_mod._relator_residue(ch.n, ch.c[0].letters, ch.d_n.letters)
 
 
 def test_telescoped_residues_match_primed_and_step_by_step():
@@ -392,13 +441,17 @@ def test_telescoped_residues_match_primed_and_step_by_step():
 def test_last_boundary_unrolls_d_n():
     for n in range(65):
         for flip in (False, True):
-            assert chain_mod._last_boundary(n, flip) == build_chain(n, flip).d[n].letters
+            assert chain_mod._last_boundary(n, flip) == build_chain(n, flip).d_n.letters
 
 
-class _NoStableProducts(chain_mod.SurfaceChain):
+class _NoDerivedWords(chain_mod.SurfaceChain):
     @property
     def s(self):
-        raise AssertionError("the surface check read s")
+        raise AssertionError("a check read s")
+
+    @property
+    def d(self):
+        raise AssertionError("a check read d, not d_n")
 
 
 def test_surface_check_reads_neither_s_nor_another_chain(monkeypatch):
@@ -409,10 +462,22 @@ def test_surface_check_reads_neither_s_nor_another_chain(monkeypatch):
     want = [verify_surface_rewrite(ch) for ch in chains]
     monkeypatch.setattr(chain_mod, "build_chain", no_build)
     for ch, report in zip(chains, want):
-        bare = _NoStableProducts(ch.n, ch.c, ch.d, ch.inverted_stable_letters)
+        bare = _NoDerivedWords(ch.n, ch.c, ch.d_n, ch.inverted_stable_letters)
         got = verify_surface_rewrite(bare)
         assert (got.status, got.witnesses, got.params) == (
             report.status, report.witnesses, report.params)
+
+
+def test_no_check_reads_the_derived_words():
+    # every check reads the stored c-words and d_n, never d or s
+    def rows(chain):
+        return [(r.check, r.params, r.status, r.witnesses) for r in run_checks(chain, "all")[0]]
+
+    for n in (0, 1, 2, 8, 9):
+        for flip in (False, True):
+            ch = build_chain(n, flip)
+            bare = _NoDerivedWords(ch.n, ch.c, ch.d_n, ch.inverted_stable_letters)
+            assert rows(bare) == rows(ch)
 
 
 def _check_report_reads_both_rewrites(chains, is_basis):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -186,6 +187,22 @@ def test_gn_build(capsys):
     assert "s0 = t0^-1\ns1 = t1^-1 t0^-1\n" in out
     code, out, _ = run(capsys, "gn", "build", "--n", "2", "--format", "json")
     assert json.loads(out)["s"] == ["t0^-1", "t1^-1 t0^-1"]
+
+
+# The SHA-256 of the stdout of `gn build --n N`, as text and then as JSON,
+# for N = 0 ... 16 in turn, recorded while SurfaceChain stored every d-word:
+# reading d_i off c_{i+1} must not change a line.
+GN_DIGEST = "8c3b1ec1003213ea37e0b80ecee8fc3cc63c259b8ef44e7ccc5bcec7d5192fc8"
+
+
+def test_gn_output_keeps_its_digest(capsys):
+    h = hashlib.sha256()
+    for n in range(17):
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "gn", "build", "--n", str(n), "--format", fmt)
+            assert code == 0
+            h.update(out.encode())
+    assert h.hexdigest() == GN_DIGEST
 
 
 def test_verify_single_lemma_json_schema_and_roundtrip(capsys):
