@@ -200,9 +200,11 @@ def verify_relation_chain(chain: SurfaceChain) -> VerificationReport:
     """The surface relations c_i d_i [a_i, b_i] = 1 and the gluing
     c_{i+1} = d_i^(t_i), on the stored words.  The relation fixes
     d_i = c_i^-1 [a_i, b_i]^-1, so each c_{i+1} is compared letter for letter
-    with t_i^-1 c_i^-1 [a_i, b_i]^-1 t_i, and c_n d_n [a_n, b_n] is reduced; a
-    witness is formatted only on a mismatch.  The check glues by t_i in
-    either convention, so an inverted chain fails at every i < n.
+    with t_i^-1 c_i^-1 [a_i, b_i]^-1 t_i, and c_n d_n [a_n, b_n] is reduced.
+    Only the first mismatching gluing is written out as a witness, and one
+    more names the other mismatching indices, so a failing report holds one
+    c-word, not n of them.  The check glues by t_i in either convention, so an inverted
+    chain fails at every i < n.
 
     On a built chain nothing cancels, in either convention, and
     d_i = c_{i+1}[1:-1] (``d``): by induction c_i has letters at positions up
@@ -214,10 +216,13 @@ def verify_relation_chain(chain: SurfaceChain) -> VerificationReport:
     a, b = 6 * n + 2, 6 * n + 4
     residue = _join_all((c[n], chain.d_n.letters, (a, b, a ^ 1, b ^ 1)))
     witnesses = [f"i={n}: c d [a,b] = {_reduced(alphabet, residue)}"] if residue else []
-    for i in range(n):
-        expected = _glued(i, c[i], (6 * i + 6,))  # t_i
-        if c[i + 1] != expected:
-            witnesses.append(f"i={i + 1}: c differs from d^t = {_reduced(alphabet, expected)}")
+    bad = [i for i in range(n) if c[i + 1] != _glued(i, c[i], (6 * i + 6,))]  # t_i
+    if bad:
+        expected = _glued(bad[0], c[bad[0]], (6 * bad[0] + 6,))
+        witnesses.append(f"i={bad[0] + 1}: c differs from d^t = {_reduced(alphabet, expected)}")
+    if len(bad) > 1:
+        others = ",".join(str(i + 1) for i in bad[1:])
+        witnesses.append(f"i={others}: c differs from d^t as well")
     return _finish("relation_chain", {"n": n}, witnesses, started)
 
 

@@ -32,12 +32,12 @@ G_u to x, and the letters after it read backward from the base of G_v to y.
 If z3 is empty, p q may cancel: p = p' w and q = w^-1 q' with p' q'
 reduced.  Then p' is in P(x'), q' in Q(y'), and w reads from x' to x in
 G_u and from y' to y in G_v, that is, from (x', y') to (x, y) in the product
-graph G_u x G_v, whose edges (a, b) --c--> (a', b') pair an edge a --c--> a'
-of G_u with an edge b --c--> b' of G_v.  Conversely, a path w from (x', y')
-to (x, y) there puts the reduced forms of p' w in P(x) and of w^-1 q' in
-Q(y), and their product is p' q'.  So z' is a member exactly when some
-split z' = p' q' has p' in P(x') and q' in Q(y') with (x', y') in the
-component of (x, y) in the product graph.
+graph G_u x G_v, whose edges pair equally labeled edges of G_u and G_v.
+Conversely, a path w from (x', y') to (x, y) there puts the reduced forms
+of p' w in P(x) and of w^-1 q' in Q(y), and their product is p' q'.  So z'
+is a member exactly when some split z' = p' q' has p' in P(x') and q' in
+Q(y') with (x', y') in the component of (x, y) in the product graph, which
+``graphs.pullback`` walks; ``_linked`` tests its pairs against the splits.
 
 How far the prefixes of z' read forward into G_u and how far its suffixes
 read backward into G_v depend only on (u, z', v): the recognizer computes
@@ -53,7 +53,7 @@ alpha and the core R^p, with no power formed and no second strip.
 
 from __future__ import annotations
 
-from .graphs import _read, _stem_cycle
+from .graphs import _read, _stem_cycle, pullback
 from .words import (
     Alphabet,
     DegenerateInput,
@@ -135,21 +135,7 @@ class CosetAutomaton:
 
     def _linked(self, x: int, y: int) -> bool:
         """Whether the component of (x, y) in G_u x G_v holds a split pair."""
-        splits, gu, gv = self._splits, self._u, self._v
-        seen = {(x, y)}
-        stack = [(x, y)]
-        while stack:
-            pair = stack.pop()
-            if pair in splits:
-                return True
-            a, b = pair
-            step_b = gv[b]
-            for c, a2 in gu[a].items():
-                b2 = step_b.get(c)
-                if b2 is not None and (a2, b2) not in seen:
-                    seen.add((a2, b2))
-                    stack.append((a2, b2))
-        return False
+        return not self._splits.isdisjoint(pullback(self._u, self._v, (x, y))[0])
 
 
 def double_coset_member(u: Word, z_mid: Word, v: Word, z: Word) -> bool:

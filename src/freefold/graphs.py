@@ -10,11 +10,14 @@ generator letters.  The folded graph is independent of the merge order
 (Stallings 1983), and vertices are relabeled by a breadth-first traversal,
 so the output is canonical: equal subgroups produce identical graphs.
 
-Every graph here, the fold's and the cyclic graphs that ``cosets`` reads,
-has one format: one step dict per vertex, keyed by letter code, with
-``steps[v][c] = w`` for an edge v --c--> w.  Each edge is held at both
-ends, c at its tail and c ^ 1 at its head, so a letter or its inverse
-steps the same way, and a loop puts two entries in its vertex's dict.
+Every graph here, the fold's, the cyclic graphs that ``cosets`` reads and
+the product components of ``pullback``, has one format: one step dict per
+vertex, keyed by letter code, with ``steps[v][c] = w`` for an edge
+v --c--> w.  Each edge is held at both ends, c at its tail and c ^ 1 at its
+head, so a letter or its inverse steps the same way, and a loop puts two
+entries in its vertex's dict.  One breadth-first walk, ``_numbered``,
+numbers them: the fold's canonical relabeling is its reading from the base,
+and ``pullback`` its reading of a component of a product from a pair.
 
 The fold leaves no dangling tree away from the base (see
 ``fold_subgroup``).  A spur hanging from the base (as in the graph of
@@ -24,7 +27,6 @@ with no special cases, and the rank formula E - V + 1 is unaffected by trees.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from .words import Alphabet, Word, _check_alphabet, _inverse, invert, multiply
@@ -69,24 +71,37 @@ def _read(steps: Steps, letters) -> list[int]:
     return path
 
 
-def _canonical(steps: Steps) -> tuple[dict[int, int], ...]:
-    """The graph renumbered by a breadth-first traversal from the base,
-    each vertex's codes taken in ``_out_then_in`` order.
-
-    Reads only the vertices the base reaches; their entries must name
-    vertices of ``steps``.
-    """
-    order: dict[int, int] = {0: 0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        step = steps[v]
-        for c in sorted(step, key=_out_then_in):
-            w = step[c]
+def _numbered(step, start) -> tuple[list, tuple[dict[int, int], ...]]:
+    """What ``start`` reaches through ``step``, v -> v's step dict: the
+    vertices in breadth-first order, each vertex's codes taken in
+    ``_out_then_in`` order, and their step dicts renumbered by that order."""
+    order, vertices, outs = {start: 0}, [start], []
+    for v in vertices:  # the list grows as the walk reaches new vertices
+        out = step(v)
+        outs.append(out)
+        for c in sorted(out, key=_out_then_in):
+            w = out[c]
             if w not in order:
                 order[w] = len(order)
-                queue.append(w)
-    return tuple({c: order[w] for c, w in steps[v].items()} for v in order)
+                vertices.append(w)
+    return vertices, tuple({c: order[w] for c, w in out.items()} for out in outs)
+
+
+def _canonical(steps: Steps) -> tuple[dict[int, int], ...]:
+    """The graph renumbered by ``_numbered`` from the base.  Reads only the
+    vertices the base reaches; their entries must name vertices of ``steps``.
+    """
+    return _numbered(steps.__getitem__, 0)[1]
+
+
+def pullback(g1: Steps, g2: Steps, start: tuple[int, int]) -> tuple[list, tuple[dict, ...]]:
+    """The component of ``start`` in the product graph g1 x g2, whose edges
+    (a, b) --c--> (a', b') pair an edge a --c--> a' of g1 with an edge
+    b --c--> b' of g2: its vertex pairs and step dicts, from ``_numbered``."""
+    def step(pair: tuple[int, int]) -> dict[int, tuple[int, int]]:
+        step_b = g2[pair[1]]
+        return {c: (a2, step_b[c]) for c, a2 in g1[pair[0]].items() if c in step_b}
+    return _numbered(step, start)
 
 
 class SubgroupGraph:
@@ -302,14 +317,11 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
                 drain()
             prev = nxt
 
-    # Point every root's entries at roots, then relabel canonically; the
+    # Relabel the roots canonically, reading each entry through find(); the
     # traversal reaches every root, since the folded graph is the connected
     # image of the wedge.
-    for v, step in enumerate(steps):
-        if step:
-            steps[v] = {c: find(t) for c, t in step.items()}
-    steps = _canonical(steps)
-    return SubgroupGraph(alphabet, steps, tuple(gens))
+    _, folded = _numbered(lambda v: {c: find(t) for c, t in steps[v].items()}, 0)
+    return SubgroupGraph(alphabet, folded, tuple(gens))
 
 
 def is_basis_of_ambient(gens: Sequence[Word], alphabet: Alphabet | None = None) -> bool:

@@ -282,7 +282,8 @@ def naive_build_chain(
 def naive_relation_chain(chain: SurfaceChain, d: Sequence[Word]) -> VerificationReport:
     """The relation check on explicit d-words: the residue c_i d_i [a_i, b_i]
     for every i, then c_{i+1} against d_i ** t_i for i < n, each with
-    ``multiply``.
+    ``multiply``; the first mismatching gluing is written out, and one more
+    witness names the other mismatching indices.
 
     Test oracle for ``freefold.chain.verify_relation_chain``, which reads
     only the stored words and compares each c_{i+1} with the word the
@@ -295,10 +296,15 @@ def naive_relation_chain(chain: SurfaceChain, d: Sequence[Word]) -> Verification
         residue = multiply(multiply(chain.c[i], d[i]), commutator(chain.a(i), chain.b(i)))
         if residue:
             witnesses.append(f"i={i}: c d [a,b] = {residue}")
+    bad = []
     for i in range(chain.n):
         expected = conjugate(d[i], chain.t(i))
         if chain.c[i + 1] != expected:
-            witnesses.append(f"i={i + 1}: c differs from d^t = {expected}")
+            if not bad:
+                witnesses.append(f"i={i + 1}: c differs from d^t = {expected}")
+            bad.append(i + 1)
+    if len(bad) > 1:
+        witnesses.append(f"i={','.join(map(str, bad[1:]))}: c differs from d^t as well")
     return _finish("relation_chain", {"n": chain.n}, witnesses, started)
 
 

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from freefold.graphs import (
+    SubgroupGraph,
     fold_subgroup,
     is_basis_of_ambient,
+    pullback,
     verify_expression,
 )
 from freefold.chain import (
@@ -14,7 +16,14 @@ from freefold.chain import (
     surface_rewrite,
 )
 from freefold.words import Alphabet, AlphabetMismatch, Word, invert, multiply
-from helpers import complement_basis, naive_fold, naive_is_basis, random_word, restrict_word
+from helpers import (
+    all_reduced_words,
+    complement_basis,
+    naive_fold,
+    naive_is_basis,
+    random_word,
+    restrict_word,
+)
 
 AB = Alphabet.parse("a0,b0")
 ABC = Alphabet.parse("a0,b0,c0")
@@ -299,3 +308,73 @@ def test_contains_matches_brute_force_sample():
                 assert probe not in members
             else:
                 assert verify_expression(graph, probe)
+
+
+# -- product graphs -----------------------------------------------------------
+
+
+def _product_components(g1, g2):
+    """Every component of g1 x g2 as {pair: {code: pair}}, found by closing
+    each pair's edge set over the whole product.  Independent of ``pullback``."""
+    edges = {(a, b): {c: (a2, g2.steps[b][c]) for c, a2 in g1.steps[a].items()
+                      if c in g2.steps[b]}
+             for a in range(g1.n_vertices) for b in range(g2.n_vertices)}
+    components, placed = [], set()
+    for pair in edges:
+        if pair in placed:
+            continue
+        component = {pair}
+        frontier = [pair]
+        while frontier:
+            frontier = [q for p in frontier for q in edges[p].values() if q not in component]
+            component.update(frontier)
+        placed |= component
+        components.append({p: edges[p] for p in component})
+    return components
+
+
+def _random_subgroup_pair(rng):
+    """Two folded graphs over a rank-2 or rank-3 alphabet, each of 1-3
+    generators of 1-7 letters; K shares a product of H's generators with H
+    every third time, so that the intersection is often nontrivial."""
+    al = AB if rng.random() < 0.5 else ABC
+    h = [random_word(rng, al, 7, nonempty=True) for _ in range(rng.randint(1, 3))]
+    k = [random_word(rng, al, 7, nonempty=True) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 1 / 3:
+        shared = multiply(rng.choice(h), rng.choice(h) ** rng.choice((-1, 1)))
+        k[rng.randrange(len(k))] = shared or h[0]
+    return al, fold_subgroup(h, al), fold_subgroup(k, al)
+
+
+def test_pullback_matches_the_full_product():
+    rng = random.Random(211)
+    for _ in range(300):
+        _, g1, g2 = _random_subgroup_pair(rng)
+        for component in _product_components(g1, g2):
+            for start in component:
+                pairs, steps = pullback(g1.steps, g2.steps, start)
+                assert pairs[0] == start and len(set(pairs)) == len(pairs)
+                assert set(pairs) == set(component)
+                # the same edges, read through the numbering
+                assert all({c: pairs[j] for c, j in step.items()} == component[pair]
+                           for pair, step in zip(pairs, steps))
+
+
+def test_base_component_is_the_intersection():
+    rng = random.Random(223)
+    balls = {al: [w for n in range(6) for w in all_reduced_words(al, n)] for al in (AB, ABC)}
+    nontrivial = 0
+    for _ in range(300):
+        al, g1, g2 = _random_subgroup_pair(rng)
+        meet = SubgroupGraph(al, pullback(g1.steps, g2.steps, (0, 0))[1], ())
+        for w in balls[al]:
+            assert meet.contains(w) == (g1.contains(w) and g2.contains(w)), w
+        nontrivial += meet.rank() > 0
+        # strengthened Hanna Neumann bound (Friedman; Mineyev), here summed
+        # over every component: each holds the core of a distinct one
+        bound = max(g1.rank() - 1, 0) * max(g2.rank() - 1, 0)
+        assert max(meet.rank() - 1, 0) <= bound
+        ranks = [sum(map(len, c.values())) // 2 - len(c) + 1
+                 for c in _product_components(g1, g2)]
+        assert sum(max(r - 1, 0) for r in ranks) <= bound
+    assert nontrivial >= 60
