@@ -39,13 +39,13 @@ from .words import (
     DegenerateInput,
     Word,
     _check_alphabet,
+    _cyclic_key,
     _cyclic_root,
     _inverse,
     _join_all,
     _reduced,
     _same_root,
     conjugate,
-    cyclic_canonical,
     invert,
     multiply,
 )
@@ -619,7 +619,7 @@ def orbit_distinct_check(
         raise DegenerateInput("orbit check needs a nontrivial element")
     started = time.perf_counter()
     images = [family(k).apply(g) for k in range(N + 1)]
-    keys = [cyclic_canonical(w).letters for w in images]
+    keys = [_cyclic_key(w.letters) for w in images]
     roots = [_cyclic_root(w.letters) for w in images]
     params = {"N": N}
     check = "orbit_distinct" + (f"[{check_suffix}]" if check_suffix else "")
@@ -634,15 +634,14 @@ def orbit_distinct_check(
 
 
 def _side_classes(part: Sequence[Word], max_len: int, cap: int):
-    """The conjugacy classes met in one side's ball, each with its first
-    element in breadth-first order, or None once more than cap distinct
-    nontrivial elements appear.  See ``cross_conjugacy_scan``."""
+    """The conjugacy classes met in one side's ball, each with the codes of
+    its first element in breadth-first order, or None once more than cap
+    distinct nontrivial elements appear.  See ``cross_conjugacy_scan``."""
     if not part:
         return {}
-    identity = part[0].alphabet.identity()
     letters = []
     for w in part:
-        letters += [w, invert(w)]
+        letters += [w.letters, _inverse(w.letters)]
     # On a free basis the ball's size is known and every element is its own
     # first discovery: no seen set, and no branch that cannot reach a key.
     free = all(part) and fold_subgroup(part).rank() == len(part)
@@ -654,40 +653,45 @@ def _side_classes(part: Sequence[Word], max_len: int, cap: int):
                 return None
             level *= len(letters) - 1
     else:
-        seen = {identity.letters}
-    classes: dict[tuple, Word] = {}
+        seen = {()}
+    classes: dict[tuple, tuple] = {}
     # entries (element, discovering sequence seq, p): p is the length of the
     # longest Lyndon prefix of seq, or 0 if seq is no prefix of a necklace
-    frontier = [(identity, (), 1)]
+    frontier = [((), (), 1)]
     for m in range(max_len):
         if not frontier:
             break  # no element is new at level m, so none lies past it
         last = m + 1 == max_len
         nxt = []
         for w, seq, p in frontier:
-            # w times letters[back] is the element w was discovered from
-            back = seq[-1] ^ 1 if seq else -1
+            # w times letters[back] gave w; a child s = seq + (i,) is tested on
+            # s[m - p] (ref) and s[0] (first) alone; at the root s is Lyndon
+            back = first = ref = -1
+            if seq:
+                back, first = seq[-1] ^ 1, seq[0]
+                if p:
+                    ref = seq[m - p]
             for i, l in enumerate(letters):
                 if i == back:
                     continue
-                s = seq + (i,)
-                # s is a prefix of a necklace iff i >= s[m - p]; its longest
-                # Lyndon prefix is then p long (i equal) or all of s (greater)
-                q = p and (0 if i < s[m - p] else p if i == s[m - p] else m + 1)
-                keyed = q and (m + 1) % q == 0 and s[0] != i ^ 1
+                # s is a prefix of a necklace iff i >= ref; its longest Lyndon
+                # prefix is then p long (i equal) or all of s (greater)
+                q = p and (0 if i < ref else p if i == ref else m + 1)
+                keyed = q and (m + 1) % q == 0 and first != i ^ 1
                 if free and not keyed and (last or not q):
                     continue
-                prod = multiply(w, l)
+                # words.multiply on codes: only the junction can cancel
+                prod = _join_all((w, l)) if w and l and w[-1] == l[0] ^ 1 else w + l
                 if not free:
-                    if prod.letters in seen:
+                    if prod in seen:
                         continue
-                    seen.add(prod.letters)
+                    seen.add(prod)
                     if len(seen) - 1 > cap:
                         return None
                 if keyed:
-                    classes.setdefault(cyclic_canonical(prod).letters, prod)
+                    classes.setdefault(_cyclic_key(prod), prod)
                 if not last:
-                    nxt.append((prod, s, q))
+                    nxt.append((prod, seq + (i,), q))
         frontier = nxt
     return classes
 
@@ -761,6 +765,11 @@ def cross_conjugacy_scan(
     the full scan, so the report is unchanged.  At max_len 6 on a rank-3
     basis that is 3,909 products of the ball's 23,436.  Other parts (a
     trivial word, a repeat, a power) take the full scan above.
+
+    The scan runs on letter codes: an element is a code tuple, a product
+    is the junction join of ``words.multiply``, a key is
+    ``words._cyclic_key`` of the codes, and a Word is built only for the two
+    witnesses of a shared class.
     """
     if min(max_len, element_cap) < 1:
         raise ValueError(f"scan needs max_len, element_cap >= 1, got {max_len}, {element_cap}")
@@ -778,8 +787,7 @@ def cross_conjugacy_scan(
     common = sorted(set(sides[0]) & set(sides[1]))
     witnesses = []
     if common:
-        key = common[0]
-        witnesses = [str(sides[0][key]), str(sides[1][key])]
+        witnesses = [str(_reduced(words[0].alphabet, side[common[0]])) for side in sides]
     params = {**params, "classes_1": len(sides[0]), "classes_2": len(sides[1])}
     return _finish("conjugacy_separation", params, witnesses, started)
 

@@ -338,17 +338,23 @@ def cyclic_normal_form(w: Word) -> CyclicWord:
     return CyclicWord(_reduced(w.alphabet, best), conj)
 
 
-def cyclic_canonical(w: Word) -> Word:
-    """``cyclic_normal_form(w).canonical`` without building the conjugator."""
-    codes = w.letters
+def _cyclic_key(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugacy key of reduced ``codes``: the least rotation of their
+    cyclic core, the letters of ``cyclic_canonical``.  The one canonical-form
+    kernel; callers that hold letter codes (the separation scan) build no Word."""
     if codes and codes[0] == codes[-1] ^ 1:
         codes = _cyclic_strip(codes)[1]
-    return _reduced(w.alphabet, _least_rotation(codes)[0])
+    return _least_rotation(codes)[0]
+
+
+def cyclic_canonical(w: Word) -> Word:
+    """``cyclic_normal_form(w).canonical`` without building the conjugator."""
+    return _reduced(w.alphabet, _cyclic_key(w.letters))
 
 
 def is_conjugate(u: Word, v: Word) -> bool:
     _check_alphabet(u.alphabet, v)
-    return cyclic_canonical(u).letters == cyclic_canonical(v).letters
+    return _cyclic_key(u.letters) == _cyclic_key(v.letters)
 
 
 def _cyclic_root(codes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:

@@ -37,7 +37,6 @@ from freefold.words import (
     Word,
     commutator,
     conjugate,
-    cyclic_canonical,
     invert,
     multiply,
 )
@@ -826,12 +825,13 @@ def _random_part(rng, al):
 
 def test_scan_matches_ball_oracle(monkeypatch):
     keyed = []
+    original = chain_mod._cyclic_key
 
-    def counted(w):
-        keyed.append(w)
-        return cyclic_canonical(w)
+    def counted(codes):
+        keyed.append(codes)
+        return original(codes)
 
-    monkeypatch.setattr(chain_mod, "cyclic_canonical", counted)
+    monkeypatch.setattr(chain_mod, "_cyclic_key", counted)
     rng = random.Random(71)
     for trial in range(3000):
         names = [f"x{g}" for g in range(trial % 3 + 1)]
@@ -845,9 +845,14 @@ def test_scan_matches_ball_oracle(monkeypatch):
     for n in (2, 4, 8):
         for flip in (False, True):
             parts = separation_parts(build_chain(n, inverted_stable_letters=flip))
-            keyed.clear()
-            got = cross_conjugacy_scan(*parts, 6)
-            assert _scan_key(got) == _scan_key(naive_cross_conjugacy_scan(*parts, 6))
+            # every depth at n = 2 and 4, since the random trials above stop at
+            # max_len 4 on words of at most 4 letters: the last-level skip then
+            # runs on the 13-letter c_2 at each depth
+            for max_len in range(1 if n < 8 else 6, 7):
+                keyed.clear()
+                got = cross_conjugacy_scan(*parts, max_len)
+                want = naive_cross_conjugacy_scan(*parts, max_len)
+                assert _scan_key(got) == _scan_key(want), (n, flip, max_len)
             assert got.params["classes_1"] == got.params["classes_2"] == 3506
             # the parts are free bases: one key per class, none for the rest
             # of the 2 x 23,436 elements
@@ -856,12 +861,13 @@ def test_scan_matches_ball_oracle(monkeypatch):
 
 def test_scan_counts_classes_not_keyed_elements(monkeypatch):
     keyed = []
+    original = chain_mod._cyclic_key
 
-    def counted(w):
-        keyed.append(w)
-        return cyclic_canonical(w)
+    def counted(codes):
+        keyed.append(codes)
+        return original(codes)
 
-    monkeypatch.setattr(chain_mod, "cyclic_canonical", counted)
+    monkeypatch.setattr(chain_mod, "_cyclic_key", counted)
     al = Alphabet.parse("x0,x1")
     # a free basis whose generators are conjugate in F(x0, x1), and so are
     # their inverses: four keyed elements of length 1, two classes
