@@ -3,9 +3,8 @@
 A subgroup graph is a connected, labeled, folded graph with a base vertex:
 closed paths at the base spell exactly the subgroup's elements.  Folding
 merges equally-labeled parallel edges until each vertex has at most one
-outgoing and one incoming edge per label.  The fold is incremental: it
-merges while the wedge of generator loops is built, with union-find and a
-pending-merge stack, so its cost is near-linear in the total number of
+outgoing and one incoming edge per label.  The fold is incremental (see
+``fold_subgroup``), so its cost is near-linear in the total number of
 generator letters.  The folded graph is independent of the merge order
 (Stallings 1983), and vertices are relabeled by a breadth-first traversal,
 so the output is canonical: equal subgroups produce identical graphs.
@@ -15,9 +14,10 @@ the product components of ``pullback``, has one format: one step dict per
 vertex, keyed by letter code, with ``steps[v][c] = w`` for an edge
 v --c--> w.  Each edge is held at both ends, c at its tail and c ^ 1 at its
 head, so a letter or its inverse steps the same way, and a loop puts two
-entries in its vertex's dict.  One breadth-first walk, ``_numbered``,
-numbers them: the fold's canonical relabeling is its reading from the base,
-and ``pullback`` its reading of a component of a product from a pair.
+entries in its vertex's dict.  One builder, ``_path``, adds the path a
+word spells; one breadth-first walk, ``_numbered``, numbers the graphs:
+the fold's canonical relabeling is its reading from the base, and
+``pullback`` its reading of a component of a product from a pair.
 
 The fold leaves no dangling tree away from the base (see
 ``fold_subgroup``).  A spur hanging from the base (as in the graph of
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .words import Alphabet, Word, _check_alphabet, _inverse, invert, multiply
+from .words import Alphabet, Word, _check_alphabet, _cyclic_strip, _inverse, invert, multiply
 
 Steps = Sequence[dict[int, int]]
 
@@ -38,6 +38,21 @@ def _out_then_in(c: int) -> tuple[int, int]:
     """Traversal order of a vertex's codes: out-edges by generator (even
     codes ascending), then in-edges by generator (odd codes ascending)."""
     return c & 1, c
+
+
+def _path(steps: list[dict[int, int]], start: int, letters, end: int | None) -> int:
+    """Add a path spelling ``letters`` from ``start`` through new vertices
+    to ``end``, or to a new vertex if ``end`` is None; return its last vertex.
+    Nothing is checked: each caller shows that the path is folded as built."""
+    u = start
+    for k, c in enumerate(letters, 1):
+        v = end if k == len(letters) and end is not None else len(steps)
+        if v == len(steps):
+            steps.append({})
+        steps[u][c] = v
+        steps[v][c ^ 1] = u
+        u = v
+    return u
 
 
 def _stem_cycle(stem: tuple[int, ...], core: tuple[int, ...]) -> list[dict[int, int]]:
@@ -50,12 +65,9 @@ def _stem_cycle(stem: tuple[int, ...], core: tuple[int, ...]) -> list[dict[int, 
     three different labels.  Its vertices are numbered along the stem and
     the core, not canonically: ``_canonical`` renumbers them as the fold does.
     """
-    joint, n = len(stem), len(stem) + len(core)
-    steps: list[dict[int, int]] = [{} for _ in range(n)]
-    for a, c in enumerate(stem + core):
-        b = a + 1 if a + 1 < n else joint
-        steps[a][c] = b
-        steps[b][c ^ 1] = a
+    steps: list[dict[int, int]] = [{}]
+    joint = _path(steps, 0, stem, None)
+    _path(steps, joint, core, joint)
     return steps
 
 
@@ -214,16 +226,22 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
     is near-linear in the total number of generator letters.
 
     Each generator is first read, not built: its longest prefix is followed
-    along edges out of the base, then its longest remaining suffix is
-    followed backwards along edges into the base, stopping before the two
-    reads overlap.  Only the unread middle gets new vertices, as a path
-    between the two vertices reached; a word that reads in full merges
-    those two vertices instead.  Following an edge whose label the next
-    letter spells is exactly the fold the built letter would undergo, so
-    the graph is the fold of the same wedge.  That fold is independent of
-    merge order (Stallings 1983), and the relabeling below does not see
-    vertex ids, so the output is identical to a fold that builds every
-    letter: it only allocates fewer vertices to merge away.
+    along edges out of the base to a vertex head, then its longest remaining
+    suffix backwards along edges into the base to a vertex tail, stopping
+    before the two reads overlap.  A word that reads in full merges head
+    with tail.  Else ``_path`` adds the unread middle on new vertices: a
+    path from head to tail, or, when head is tail, the stem and cycle of its
+    cyclic strip.  Following an edge whose label the next letter spells is
+    exactly the fold the built letter would undergo, so the graph is the
+    fold of the same wedge.  That fold is independent of merge order
+    (Stallings 1983), and the relabeling below does not see vertex ids, so
+    the output is identical to a fold that builds every letter.
+
+    The middle merges nothing.  Each read stopped at a letter that does not
+    read: the middle's first letter is free at head, the inverse of its last
+    at tail, and its new inner vertices have two distinct labels each, as w
+    is reduced.  When head is tail the middle may begin with the inverse of
+    its last letter; its strip is folded as built (see ``_stem_cycle``).
 
     The folded graph needs no trimming.  Every vertex is the image of a
     wedge vertex, which is interior to the loop of a generator w, and the
@@ -240,10 +258,9 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
         alphabet = gens[0].alphabet
     _check_alphabet(alphabet, *gens)
 
-    # Vertices are joined by union-find.  A root vertex keeps its step dict;
-    # entries may name non-root vertices and are read through find().  A
-    # label collision never stores a second edge: it pushes the two far
-    # endpoints onto ``pending`` instead.
+    # Vertices are joined by union-find: a root keeps its step dict, whose
+    # entries may name non-roots, read through find().  A merge stores no
+    # second edge under a label: it pushes the two far ends onto ``pending``.
     parent = [0]
     steps: list[dict[int, int]] = [{}]
     pending: list[tuple[int, int]] = []
@@ -293,29 +310,12 @@ def fold_subgroup(gens: Sequence[Word], alphabet: Alphabet | None = None) -> Sub
             pending.append((head, tail))
             drain()
             continue
-        # attach the unread middle as a path head -> ... -> tail, folding
-        # each edge as it is added
-        prev = head
-        for k in range(i, j):
-            c = codes[k]
-            if k == j - 1:
-                nxt = tail
-            else:
-                nxt = len(parent)
-                parent.append(nxt)
-                steps.append({})
-            u, v = find(prev), find(nxt)
-            t, s = steps[u].get(c), steps[v].get(c ^ 1)
-            if t is None and s is None:
-                steps[u][c] = v
-                steps[v][c ^ 1] = u
-            else:
-                if t is not None:
-                    pending.append((t, v))
-                if s is not None:
-                    pending.append((s, u))
-                drain()
-            prev = nxt
+        middle = codes[i:j]
+        if head == tail:  # a stem to the joint, then the core as a cycle there
+            stem, middle = _cyclic_strip(middle)
+            head = tail = _path(steps, head, stem, None)
+        _path(steps, head, middle, tail)
+        parent.extend(range(len(parent), len(steps)))
 
     # Relabel the roots canonically, reading each entry through find(); the
     # traversal reaches every root, since the folded graph is the connected

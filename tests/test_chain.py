@@ -693,6 +693,28 @@ def test_independent_pair_is_extendable_control():
     )
 
 
+def test_not_decomposable_fails_with_each_witness():
+    # d_n = a0 breaks the sign rule and joins c0 in a basis; at odd n,
+    # d_n = c0^-1 breaks only the sign rule, as the pair stays dependent
+    for n in (1, 2, 3):
+        ch, sign = build_chain(n), (-1) ** (n + 1)
+        a0 = ch.alphabet.word("a0")
+        report = verify_not_decomposable(chain_mod.SurfaceChain(n, ch.c, a0, False))
+        assert report.status == "fail"
+        assert report.witnesses == [
+            f"exponent vector of d_n is {exponent_vector(a0)}, not {sign} * vec(c0)",
+            "the pair (c0, d_n) is abelian basis-extendable",
+        ]
+        dn = invert(ch.c[0])
+        report = verify_not_decomposable(chain_mod.SurfaceChain(n, ch.c, dn, False))
+        if n % 2:
+            assert report.status == "fail"
+            assert report.witnesses == [
+                f"exponent vector of d_n is {exponent_vector(dn)}, not 1 * vec(c0)"]
+        else:
+            assert report.passed
+
+
 # -- twist families and orbits --------------------------------------------------
 
 

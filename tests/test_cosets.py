@@ -26,6 +26,7 @@ from freefold.words import (
 from helpers import (
     all_reduced_words,
     naive_build_coset_automaton,
+    naive_fold,
     naive_root,
     random_word,
 )
@@ -259,6 +260,8 @@ def test_cyclic_graph_matches_fold_subgroup():
         graph, folded = _stem_cycle(*_cyclic_strip(u.letters)), fold_subgroup([u])
         assert len(graph) == folded.n_vertices
         assert _canonical(graph) == folded.steps, u
+        # both are built by graphs._path, so also the pass-by-pass oracle
+        assert _canonical(graph) == naive_fold([u]).steps, u
         for w in short:
             path = _read(graph, w.letters)
             read_home = len(path) == len(w) + 1 and path[-1] == 0
